@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,8 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Return q scaled to unit norm with the scalar part non-negative."""
     q = np.asarray(q, dtype=np.float64)
     norm = float(np.linalg.norm(q))
+    if not math.isfinite(norm):
+        raise ValueError("quaternion must be finite")
     if norm < _QUAT_NORM_EPS:
         raise ValueError("quaternion has near-zero norm")
     q = q / norm

@@ -1,6 +1,8 @@
 """Pose estimation from 2D-3D correspondences.
 
 Provides:
+  * ``Correspondences``: observed pixels and their world points as two
+    row-aligned arrays,
   * ``umeyama_align``: closed-form rigid alignment of two point sets (SVD
     with a determinant sign correction, scale fixed to 1),
   * ``epnp``: control-point PnP — world points are rewritten in barycentric
@@ -11,6 +13,20 @@ Provides:
     Huber-robustified) reprojection error with an analytic Jacobian,
   * ``solve_pnp``: seeded RANSAC around minimal EPnP hypotheses with a final
     robust refinement on the consensus set.
+
+EPnP and rigid alignment are written once, batched: every step works on a
+stack of K independent problems, and ``epnp``/``umeyama_align`` are its
+K = 1 calls.  ``solve_pnp`` draws all of its minimal samples first, solves
+them in one batched EPnP call and scores every hypothesis against every
+correspondence in (K, N) blocks.  A sample that is coplanar or has no
+candidate in front of the camera is marked, never raised, so one bad
+sample cannot fail the batch.
+
+Determinism contract of ``solve_pnp``: correspondences are lexsorted before
+sampling; each hypothesis draws ``rng.choice(n, 6, replace=False)`` from the
+seeded generator, in hypothesis order; EPnP keeps only candidates with every
+point at z > 0, scoring counts inliers at z > near; the winner has the most
+inliers, then the lowest mean inlier error, then the earliest index.
 
 Poses are camera-to-world throughout; reprojection uses the inverse.
 """
@@ -35,20 +51,34 @@ from .geometry import (
 MIN_CORRESPONDENCES = 6
 #: Tetrahedron volume below which control points count as coplanar (m^3).
 COPLANAR_VOLUME_EPS = 1e-9
+#: Hypothesis-correspondence pairs scored per block, bounding the (K, N)
+#: temporaries of ``solve_pnp`` to a few MB whatever N is.
+_SCORE_BLOCK = 1 << 16
 
-_PAIRS = list(combinations(range(4), 2))
+_PAIR_A, _PAIR_B = np.array(list(combinations(range(4), 2))).T
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """One observed pixel and its world-space 3D point."""
+class Correspondences:
+    """Observed pixels and their world-space 3D points, one row per pair."""
 
-    pixel: np.ndarray  # (2,)
-    point: np.ndarray  # (3,)
+    pixels: np.ndarray  # (n, 2)
+    points: np.ndarray  # (n, 3)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=np.float64).reshape(2))
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=np.float64).reshape(3))
+        pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
+        points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if pixels.shape[0] != points.shape[0]:
+            raise ValueError(f"{pixels.shape[0]} pixels but {points.shape[0]} points")
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "points", points)
+
+    def __len__(self) -> int:
+        return self.pixels.shape[0]
+
+    def __getitem__(self, index) -> Correspondences:
+        """The pairs selected by a slice, an index array or a boolean mask."""
+        return Correspondences(self.pixels[index], self.points[index])
 
 
 @dataclass
@@ -62,47 +92,109 @@ class SolverReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ControlPointSet:
-    """Four control points spanning a point cloud, plus barycentric weights."""
-
-    control_points: np.ndarray  # (4, 3) world frame
-    weights: np.ndarray  # (n, 4); weights @ control_points reproduces the cloud
-
-
-def _stack(corrs: list[Correspondence]) -> tuple[np.ndarray, np.ndarray]:
-    pixels = np.array([c.pixel for c in corrs])
-    points = np.array([c.point for c in corrs])
-    return pixels, points
-
-
-def compute_control_points(points: np.ndarray) -> ControlPointSet:
+def _control_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centroid + principal-axis control points and barycentric weights.
 
-    The three non-centroid control points sit one standard deviation along
-    each principal axis of the cloud, so the four of them span a tetrahedron
-    whenever the points are not coplanar.
+    ``points`` is (K, n, 3).  Returns the control points (K, 4, 3), the
+    weights (K, n, 4) with ``weights @ control`` reproducing each cloud, and a
+    (K,) mask of clouds that are (near-)coplanar.  The three non-centroid
+    control points sit one standard deviation along each principal axis, so
+    they span a tetrahedron whenever the points are not coplanar; a coplanar
+    cloud gets placeholder weights instead of a singular solve.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 4:
-        raise ValueError("need an (n, 3) array with n >= 4")
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    axis_lengths = svals / np.sqrt(points.shape[0])
-    control = np.vstack([centroid, centroid + axis_lengths[:, None] * vt])
-
-    volume = abs(np.linalg.det(control[1:] - control[0])) / 6.0
-    if volume < COPLANAR_VOLUME_EPS:
-        raise DegenerateGeometry(
-            f"control points span volume {volume:.3e} m^3; points are (near-)coplanar"
-        )
+    K, n, _ = points.shape
+    centroid = points.mean(axis=1)
+    _, svals, vt = np.linalg.svd(points - centroid[:, None], full_matrices=False)
+    axis_lengths = svals / np.sqrt(n)
+    control = np.concatenate(
+        [centroid[:, None], centroid[:, None] + axis_lengths[..., None] * vt], axis=1
+    )
+    volume = np.abs(np.linalg.det(control[:, 1:] - control[:, :1])) / 6.0
+    coplanar = volume < COPLANAR_VOLUME_EPS
 
     # Barycentric weights: solve [C^T; 1] a_i = [p_i; 1] for every point.
-    M = np.vstack([control.T, np.ones(4)])  # (4, 4)
-    rhs = np.vstack([points.T, np.ones(points.shape[0])])  # (4, n)
-    weights = np.linalg.solve(M, rhs).T
-    return ControlPointSet(control_points=control, weights=weights)
+    system = np.ones((K, 4, 4))
+    system[:, :3] = control.transpose(0, 2, 1)
+    system[coplanar] = np.eye(4)
+    rhs = np.ones((K, 4, n))
+    rhs[:, :3] = points.transpose(0, 2, 1)
+    weights = np.linalg.solve(system, rhs).transpose(0, 2, 1)
+    return control, weights, coplanar
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares per problem, as ``np.linalg.lstsq(rcond=None)``.
+
+    ``A`` is (K, m, p) and ``b`` is (K, m); returns (K, p).
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    cutoff = np.finfo(np.float64).eps * max(A.shape[1:]) * s[:, :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    return np.einsum("kij,ki->kj", Vt, s_inv * np.einsum("kmi,km->ki", U, b))
+
+
+_BETA_GN_ITERS = 10
+
+
+def _betas(diffs: np.ndarray, world_dists: np.ndarray) -> np.ndarray:
+    """Kernel combination weights matching the world control-point distances.
+
+    ``diffs`` is (K, 6, n_basis, 3): per control-point pair, the difference of
+    each kernel vector's two control points.  The closed-form seed scales one
+    basis vector to the world distances directly; for two or three, the
+    distance constraints are linear in the products beta_i beta_j and are
+    solved by least squares.  Gauss-Newton then refines the seed for a fixed
+    number of steps on the residuals ||sum_k beta_k (v_k[a] - v_k[b])||^2 - d_ab^2.
+    """
+    n_basis = diffs.shape[2]
+    d2 = world_dists**2
+    if n_basis == 1:
+        dv = diffs[:, :, 0]
+        num = np.sum(np.linalg.norm(dv, axis=-1) * world_dists, axis=1)
+        den = np.sum(np.sum(dv * dv, axis=-1), axis=1)
+        betas = (num / np.maximum(den, 1e-18))[:, None]
+    else:
+        products = [(i, j) for i in range(n_basis) for j in range(i, n_basis)]
+        L = np.stack(
+            [
+                (1.0 if i == j else 2.0)
+                * np.einsum("kpd,kpd->kp", diffs[:, :, i], diffs[:, :, j])
+                for i, j in products
+            ],
+            axis=-1,
+        )
+        sol = _lstsq(L, d2)
+        betas = np.sqrt(np.abs(sol[:, [products.index((i, i)) for i in range(n_basis)]]))
+        cross = sol[:, [products.index((0, i)) for i in range(1, n_basis)]]
+        betas[:, 1:] *= np.where(cross >= 0, 1.0, -1.0)
+
+    for _ in range(_BETA_GN_ITERS):
+        combo = np.einsum("kb,kpbd->kpd", betas, diffs)  # (K, 6, 3)
+        residuals = np.einsum("kpd,kpd->kp", combo, combo) - d2
+        jac = 2.0 * np.einsum("kpd,kpbd->kpb", combo, diffs)  # (K, 6, n_basis)
+        betas = betas + _lstsq(jac, -residuals)
+    return betas
+
+
+def _umeyama(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rigid (R, t) minimizing sum ||b_i - (R a_i + t)||^2 for stacks of point sets.
+
+    ``a`` and ``b`` are (..., n, 3).  Returns R (..., 3, 3), t (..., 3) and a
+    mask of (near-)collinear sets, whose rotation is not unique.  The
+    determinant sign correction keeps every R a proper rotation.
+    """
+    mu_a = a.mean(axis=-2)
+    mu_b = b.mean(axis=-2)
+    H = np.swapaxes(a - mu_a[..., None, :], -1, -2) @ (b - mu_b[..., None, :])
+    U, svals, Vt = np.linalg.svd(H)
+    collinear = svals[..., 1] <= np.maximum(svals[..., 0], 1.0) * 1e-12
+    V = np.swapaxes(Vt, -1, -2)
+    Ut = np.swapaxes(U, -1, -2)
+    d = np.sign(np.linalg.det(V @ Ut))
+    V[..., 2] *= d[..., None]
+    R = V @ Ut
+    t = mu_b - np.einsum("...ij,...j->...i", R, mu_a)
+    return R, t, collinear
 
 
 def umeyama_align(points_a: np.ndarray, points_b: np.ndarray) -> Pose:
@@ -118,157 +210,114 @@ def umeyama_align(points_a: np.ndarray, points_b: np.ndarray) -> Pose:
         raise ValueError(f"point sets differ in shape: {a.shape} vs {b.shape}")
     if a.ndim != 2 or a.shape[1] != 3 or a.shape[0] < 3:
         raise ValueError("need (n, 3) arrays with n >= 3")
-
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
-    H = (a - mu_a).T @ (b - mu_b)
-    U, svals, Vt = np.linalg.svd(H)
-    if svals[1] <= max(svals[0], 1.0) * 1e-12:
+    R, t, collinear = _umeyama(a, b)
+    if collinear:
         raise DegenerateGeometry("point set is (near-)collinear; rotation is not unique")
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    t = mu_b - R @ mu_a
     return Pose(matrix_to_quat(R), t)
 
 
-def _distance_residuals(betas: np.ndarray, kernel: np.ndarray, world_dists: np.ndarray):
-    """Residuals and Jacobian of the control-point distance constraints.
+def _reproj_errors(
+    R: np.ndarray, t: np.ndarray, pixels: np.ndarray, points: np.ndarray,
+    cam: CameraIntrinsics, near: float,
+) -> np.ndarray:
+    """Reprojection errors (..., n) of world-to-camera transforms R (..., 3, 3), t (..., 3).
 
-    kernel is (N, 4, 3): N null-space basis vectors reshaped as candidate
-    camera-frame control points.  Residual per pair (a, b):
-    ||sum_k beta_k (v_k[a] - v_k[b])||^2 - d_ab^2.
+    ``pixels``/``points`` are (n, 2)/(n, 3) or stacked to match R.  A point
+    at z <= ``near`` gets an infinite error.
     """
-    diffs = np.array([kernel[:, a, :] - kernel[:, b, :] for a, b in _PAIRS])  # (6, N, 3)
-    combo = np.einsum("k,pkd->pd", betas, diffs)  # (6, 3)
-    residuals = np.einsum("pd,pd->p", combo, combo) - world_dists**2
-    jac = 2.0 * np.einsum("pd,pkd->pk", combo, diffs)  # (6, N)
-    return residuals, jac
+    pts_cam = points @ np.swapaxes(R, -1, -2) + t[..., None, :]
+    z = pts_cam[..., 2]
+    front = z > near
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = cam.fx * pts_cam[..., 0] / z + cam.cx - pixels[..., 0]
+        dv = cam.fy * pts_cam[..., 1] / z + cam.cy - pixels[..., 1]
+    return np.where(front, np.sqrt(du * du + dv * dv), np.inf)
 
 
-def _initial_betas(kernel: np.ndarray, world_dists: np.ndarray, n_basis: int) -> np.ndarray:
-    """Closed-form seed for the distance-constraint unknowns."""
-    diffs = np.array([kernel[:, a, :] - kernel[:, b, :] for a, b in _PAIRS])  # (6, N, 3)
-    d2 = world_dists**2
-    if n_basis == 1:
-        dv = diffs[:, 0, :]
-        num = float(np.sum(np.linalg.norm(dv, axis=1) * world_dists))
-        den = float(np.sum(np.sum(dv * dv, axis=1)))
-        return np.array([num / max(den, 1e-18)])
-    if n_basis == 2:
-        L = np.column_stack(
-            [
-                np.einsum("pd,pd->p", diffs[:, 0], diffs[:, 0]),
-                2.0 * np.einsum("pd,pd->p", diffs[:, 0], diffs[:, 1]),
-                np.einsum("pd,pd->p", diffs[:, 1], diffs[:, 1]),
-            ]
-        )
-        b11, b12, b22 = np.linalg.lstsq(L, d2, rcond=None)[0]
-        beta1 = np.sqrt(abs(b11))
-        beta2 = np.sqrt(abs(b22)) * (1.0 if b12 >= 0 else -1.0)
-        return np.array([beta1, beta2])
-    # n_basis == 3: six unknowns (b11, b12, b13, b22, b23, b33), six equations.
-    L = np.column_stack(
-        [
-            np.einsum("pd,pd->p", diffs[:, 0], diffs[:, 0]),
-            2.0 * np.einsum("pd,pd->p", diffs[:, 0], diffs[:, 1]),
-            2.0 * np.einsum("pd,pd->p", diffs[:, 0], diffs[:, 2]),
-            np.einsum("pd,pd->p", diffs[:, 1], diffs[:, 1]),
-            2.0 * np.einsum("pd,pd->p", diffs[:, 1], diffs[:, 2]),
-            np.einsum("pd,pd->p", diffs[:, 2], diffs[:, 2]),
-        ]
-    )
-    sol = np.linalg.lstsq(L, d2, rcond=None)[0]
-    b11, b12, b13, b22, _, b33 = sol
-    beta1 = np.sqrt(abs(b11))
-    beta2 = np.sqrt(abs(b22)) * (1.0 if b12 >= 0 else -1.0)
-    beta3 = np.sqrt(abs(b33)) * (1.0 if b13 >= 0 else -1.0)
-    return np.array([beta1, beta2, beta3])
+@dataclass
+class _Hypotheses:
+    """World-to-camera poses of K EPnP problems, with why any failed."""
+
+    rotation: np.ndarray  # (K, 3, 3)
+    translation: np.ndarray  # (K, 3)
+    error: np.ndarray  # (K,) mean reprojection error; inf when nothing was solved
+    coplanar: np.ndarray  # (K,) world points (near-)coplanar
+
+    @property
+    def solved(self) -> np.ndarray:
+        return np.isfinite(self.error)
+
+    def pose(self, k: int) -> Pose:
+        """Camera-to-world pose of problem k."""
+        return Pose(matrix_to_quat(self.rotation[k]), self.translation[k]).inverse()
 
 
-_BETA_GN_ITERS = 10
+def _epnp_batch(pixels: np.ndarray, points: np.ndarray, cam: CameraIntrinsics) -> _Hypotheses:
+    """EPnP on K independent problems at once: pixels (K, n, 2), points (K, n, 3).
+
+    Builds each 2n x 12 homogeneous system tying camera-frame control points
+    to the observations and recovers them from its null space, trying kernel
+    dimensions 1-3 with Gauss-Newton-refined combination weights.  A candidate
+    counts only with every point at z > 0 and a unique rigid alignment; the
+    one with the lowest mean reprojection error wins (the smallest kernel on
+    ties).
+    """
+    K, n, _ = points.shape
+    control, alphas, coplanar = _control_points(points)
+
+    # Rows: sum_j a_ij * (fx * x_j + (cx - u_i) * z_j) = 0 and the y analog.
+    M = np.zeros((K, n, 2, 4, 3))
+    M[:, :, 0, :, 0] = alphas * cam.fx
+    M[:, :, 0, :, 2] = alphas * (cam.cx - pixels[:, :, 0])[..., None]
+    M[:, :, 1, :, 1] = alphas * cam.fy
+    M[:, :, 1, :, 2] = alphas * (cam.cy - pixels[:, :, 1])[..., None]
+    _, _, Vt = np.linalg.svd(M.reshape(K, 2 * n, 12), full_matrices=False)
+    null_basis = Vt[:, ::-1]  # rows ordered by ascending singular value
+    world_dists = np.linalg.norm(control[:, _PAIR_A] - control[:, _PAIR_B], axis=-1)
+
+    candidates, in_front = [], []
+    for n_basis in (1, 2, 3):
+        kernel = null_basis[:, :n_basis].reshape(K, n_basis, 4, 3)
+        diffs = (kernel[:, :, _PAIR_A] - kernel[:, :, _PAIR_B]).transpose(0, 2, 1, 3)
+        betas = _betas(diffs, world_dists)
+        pts_cam = alphas @ np.einsum("kb,kbij->kij", betas, kernel)  # (K, n, 3)
+        flip = np.sum(pts_cam[..., 2] > 0, axis=1) < n / 2
+        pts_cam[flip] *= -1.0
+        candidates.append(pts_cam)
+        in_front.append(np.all(pts_cam[..., 2] > 0, axis=1))
+    usable = np.stack(in_front, axis=1) & ~coplanar[:, None]  # (K, 3)
+
+    R, t, collinear = _umeyama(points[:, None], np.stack(candidates, axis=1))
+    errs = _reproj_errors(R, t, pixels[:, None], points[:, None], cam, 0.0).mean(axis=-1)
+    errs = np.where(usable & ~collinear & np.isfinite(errs), errs, np.inf)
+    best = np.argmin(errs, axis=1)
+    rows = np.arange(K)
+    return _Hypotheses(R[rows, best], t[rows, best], errs[rows, best], coplanar)
 
 
-def _refine_betas(betas: np.ndarray, kernel: np.ndarray, world_dists: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the distance constraints, fixed iteration budget."""
-    for _ in range(_BETA_GN_ITERS):
-        residuals, jac = _distance_residuals(betas, kernel, world_dists)
-        step, *_ = np.linalg.lstsq(jac, -residuals, rcond=None)
-        betas = betas + step
-    return betas
-
-
-def _mean_reproj_error(pixels: np.ndarray, points: np.ndarray, cam, pose: Pose) -> float:
-    w2c = pose.inverse()
-    pts_cam = points @ w2c.rotation_matrix().T + w2c.translation
-    z = pts_cam[:, 2]
-    if np.any(z <= 0):
-        return np.inf
-    proj = cam.project(pts_cam)
-    return float(np.mean(np.linalg.norm(proj - pixels, axis=1)))
-
-
-def epnp(corrs: list[Correspondence], cam: CameraIntrinsics) -> SolverReport:
+def epnp(corrs: Correspondences, cam: CameraIntrinsics) -> SolverReport:
     """Control-point PnP on all correspondences (no outlier handling).
 
-    Builds the 2n x 12 homogeneous system tying camera-frame control points
-    to the observations, recovers them from the null space (trying kernel
-    dimensions 1-3 with Gauss-Newton-refined combination weights), and picks
-    the candidate with the lowest reprojection error.
+    The K = 1 call of the batched EPnP core: raises ``DegenerateGeometry``
+    for coplanar world points and ``CheiralityViolation`` when no candidate
+    has every point in front of the camera.
     """
     if len(corrs) < MIN_CORRESPONDENCES:
         raise InsufficientMatches(
             f"epnp needs at least {MIN_CORRESPONDENCES} correspondences, got {len(corrs)}"
         )
-    pixels, points = _stack(corrs)
-    ctrl = compute_control_points(points)  # raises DegenerateGeometry when coplanar
-    alphas = ctrl.weights  # (n, 4)
-    n = points.shape[0]
-
-    # Rows: sum_j a_ij * (fx * x_j + (cx - u_i) * z_j) = 0 and the y analog.
-    M = np.zeros((2 * n, 12))
-    u, v = pixels[:, 0], pixels[:, 1]
-    for j in range(4):
-        a_j = alphas[:, j]
-        M[0::2, 3 * j + 0] = a_j * cam.fx
-        M[0::2, 3 * j + 2] = a_j * (cam.cx - u)
-        M[1::2, 3 * j + 1] = a_j * cam.fy
-        M[1::2, 3 * j + 2] = a_j * (cam.cy - v)
-
-    _, _, Vt = np.linalg.svd(M, full_matrices=True)
-    null_basis = Vt[::-1]  # rows ordered by ascending singular value
-    world_dists = np.array(
-        [np.linalg.norm(ctrl.control_points[a] - ctrl.control_points[b]) for a, b in _PAIRS]
-    )
-
-    best: tuple[float, Pose, int] | None = None
-    for n_basis in (1, 2, 3):
-        kernel = null_basis[:n_basis].reshape(n_basis, 4, 3)
-        betas = _initial_betas(kernel, world_dists, n_basis)
-        betas = _refine_betas(betas, kernel, world_dists)
-        ctrl_cam = np.einsum("k,kij->ij", betas, kernel)  # (4, 3)
-        pts_cam = alphas @ ctrl_cam
-        if np.sum(pts_cam[:, 2] > 0) < n / 2:
-            pts_cam = -pts_cam
-        if np.any(pts_cam[:, 2] <= 0):
-            continue
-        try:
-            w2c = umeyama_align(points, pts_cam)
-        except DegenerateGeometry:
-            continue
-        pose = w2c.inverse()
-        err = _mean_reproj_error(pixels, points, cam, pose)
-        if not np.isfinite(err):
-            continue
-        if best is None or err < best[0]:
-            best = (err, pose, n_basis)
-
-    if best is None:
+    hyp = _epnp_batch(corrs.pixels[None], corrs.points[None], cam)
+    if hyp.coplanar[0]:
+        raise DegenerateGeometry(
+            f"control points span less than {COPLANAR_VOLUME_EPS:g} m^3; "
+            "points are (near-)coplanar"
+        )
+    if not np.isfinite(hyp.error[0]):
         raise CheiralityViolation("epnp found no candidate with all points in front of the camera")
-    err, pose, _ = best
     return SolverReport(
-        pose=pose,
-        inlier_count=n,
-        mean_reprojection_error=err,
+        pose=hyp.pose(0),
+        inlier_count=len(corrs),
+        mean_reprojection_error=float(hyp.error[0]),
         iterations=_BETA_GN_ITERS,
         converged=True,
     )
@@ -288,7 +337,7 @@ def apply_delta(pose: Pose, delta: np.ndarray) -> Pose:
 
 
 def reprojection_residuals(
-    corrs: list[Correspondence], cam: CameraIntrinsics, pose: Pose
+    corrs: Correspondences, cam: CameraIntrinsics, pose: Pose
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pixel residuals and their Jacobian for a camera-to-world pose.
 
@@ -297,9 +346,9 @@ def reprojection_residuals(
     perturbation used by ``apply_delta`` (3 rotation, 3 translation),
     evaluated at delta = 0.
     """
-    if not corrs:
+    if len(corrs) == 0:
         raise ValueError("no correspondences")
-    pixels, points = _stack(corrs)
+    pixels, points = corrs.pixels, corrs.points
     R = pose.rotation_matrix()
     Rwc = R.T
     pts_cam = (points - pose.translation) @ R
@@ -363,7 +412,7 @@ def _robust_cost_and_weights(
 
 
 def refine_ba(
-    corrs: list[Correspondence],
+    corrs: Correspondences,
     cam: CameraIntrinsics,
     init_pose: Pose,
     config: BundleAdjustConfig | None = None,
@@ -382,15 +431,14 @@ def refine_ba(
             f"refine_ba needs at least {MIN_CORRESPONDENCES} correspondences, got {len(corrs)}"
         )
 
-    pixels, points = _stack(corrs)
     w2c = init_pose.inverse()
-    z = (points @ w2c.rotation_matrix().T + w2c.translation)[:, 2]
+    z = (corrs.points @ w2c.rotation_matrix().T + w2c.translation)[:, 2]
     visible = z > cam.near
     if int(np.count_nonzero(visible)) < MIN_CORRESPONDENCES:
         raise CheiralityViolation(
             f"initial pose sees only {int(np.count_nonzero(visible))} correspondences"
         )
-    active = [c for c, keep in zip(corrs, visible) if keep]
+    active = corrs[visible]
 
     pose = init_pose
     residuals, J = reprojection_residuals(active, cam, pose)
@@ -459,80 +507,78 @@ class RansacConfig:
     refine: BundleAdjustConfig = BundleAdjustConfig()
 
 
-def _reproj_errors(pixels: np.ndarray, points: np.ndarray, cam, pose: Pose) -> np.ndarray:
-    """Per-correspondence reprojection error; inf where behind the camera."""
-    w2c = pose.inverse()
-    pts_cam = points @ w2c.rotation_matrix().T + w2c.translation
-    z = pts_cam[:, 2]
-    errs = np.full(points.shape[0], np.inf)
-    front = z > cam.near
-    if np.any(front):
-        proj = cam.project(pts_cam[front])
-        errs[front] = np.linalg.norm(proj - pixels[front], axis=1)
-    return errs
-
-
 def solve_pnp(
-    corrs: list[Correspondence],
+    corrs: Correspondences,
     cam: CameraIntrinsics,
     config: RansacConfig | None = None,
 ) -> SolverReport:
     """Robust pose solve: seeded RANSAC over minimal EPnP + LM refinement.
 
-    The correspondence list is canonicalized (sorted) before sampling, so the
+    The correspondences are canonicalized (sorted) before sampling, so the
     result is invariant to input order for a fixed seed.  Runs the full,
-    fixed iteration budget for determinism.
+    fixed iteration budget for determinism: all minimal samples are drawn,
+    solved by one batched EPnP and scored together.
     """
     config = config or RansacConfig()
-    if len(corrs) < MIN_CORRESPONDENCES:
+    n = len(corrs)
+    if n < MIN_CORRESPONDENCES:
         raise InsufficientMatches(
-            f"solve_pnp needs at least {MIN_CORRESPONDENCES} correspondences, got {len(corrs)}"
+            f"solve_pnp needs at least {MIN_CORRESPONDENCES} correspondences, got {n}"
         )
 
-    pixels, points = _stack(corrs)
+    pixels, points = corrs.pixels, corrs.points
     order = np.lexsort(
         (points[:, 2], points[:, 1], points[:, 0], pixels[:, 1], pixels[:, 0])
     )
-    corrs_sorted = [corrs[i] for i in order]
-    pixels, points = pixels[order], points[order]
-    n = len(corrs_sorted)
+    corrs = corrs[order]
+    pixels, points = corrs.pixels, corrs.points
 
     rng = np.random.default_rng(config.seed)
-    best_inliers: np.ndarray | None = None
-    best_pose: Pose | None = None
-    best_score = (-1, np.inf)  # (inlier count, mean inlier error)
-    for _ in range(config.iterations):
-        sample = rng.choice(n, size=MIN_CORRESPONDENCES, replace=False)
-        try:
-            hypothesis = epnp([corrs_sorted[i] for i in sample], cam)
-        except (DegenerateGeometry, CheiralityViolation):
-            continue
-        errs = _reproj_errors(pixels, points, cam, hypothesis.pose)
-        inliers = errs < config.inlier_threshold
-        count = int(np.count_nonzero(inliers))
-        if count < config.min_inliers:
-            continue
-        mean_err = float(errs[inliers].mean())
-        # Prefer more inliers; break ties on lower mean inlier error.
-        if count > best_score[0] or (count == best_score[0] and mean_err < best_score[1]):
-            best_score = (count, mean_err)
-            best_inliers = inliers
-            best_pose = hypothesis.pose
+    samples = np.empty((config.iterations, MIN_CORRESPONDENCES), dtype=np.intp)
+    for k in range(config.iterations):
+        samples[k] = rng.choice(n, size=MIN_CORRESPONDENCES, replace=False)
+    hyp = _epnp_batch(pixels[samples], points[samples], cam)
+    solved = np.flatnonzero(hyp.solved)
 
-    if best_inliers is None or best_pose is None:
+    counts = np.zeros(solved.size, dtype=np.intp)
+    mean_errs = np.full(solved.size, np.inf)
+    block = max(1, _SCORE_BLOCK // n)
+    for start in range(0, solved.size, block):
+        ks = slice(start, start + block)
+        hyps = solved[ks]
+        errs = _reproj_errors(
+            hyp.rotation[hyps], hyp.translation[hyps], pixels, points, cam, cam.near
+        )
+        inliers = errs < config.inlier_threshold
+        counts[ks] = np.count_nonzero(inliers, axis=1)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where a hypothesis has no inlier
+            mean_errs[ks] = np.where(inliers, errs, 0.0).sum(axis=1) / counts[ks]
+
+    # Most inliers, then the lowest mean inlier error, then the earliest sample.
+    eligible = counts >= config.min_inliers
+    if not np.any(eligible):
         raise NoConsensus(
             f"no hypothesis reached {config.min_inliers} inliers at "
             f"{config.inlier_threshold} px over {config.iterations} iterations"
         )
+    top = eligible & (counts == counts[eligible].max())
+    winner = int(solved[np.argmin(np.where(top, mean_errs, np.inf))])
+    winner_errs = _reproj_errors(
+        hyp.rotation[winner], hyp.translation[winner], pixels, points, cam, cam.near
+    )
+    best_inliers = winner_errs < config.inlier_threshold
 
-    inlier_corrs = [c for c, keep in zip(corrs_sorted, best_inliers) if keep]
+    inlier_corrs = corrs[best_inliers]
     try:
         init = epnp(inlier_corrs, cam).pose
     except (DegenerateGeometry, CheiralityViolation, InsufficientMatches):
-        init = best_pose  # refine straight from the winning hypothesis
+        init = hyp.pose(winner)  # refine straight from the winning hypothesis
     refined = refine_ba(inlier_corrs, cam, init, config.refine)
 
-    final_errs = _reproj_errors(pixels, points, cam, refined.pose)
+    w2c = refined.pose.inverse()
+    final_errs = _reproj_errors(
+        w2c.rotation_matrix(), w2c.translation, pixels, points, cam, cam.near
+    )
     final_inliers = final_errs < config.inlier_threshold
     mean_err = float(final_errs[final_inliers].mean()) if np.any(final_inliers) else np.inf
     return SolverReport(

@@ -39,7 +39,7 @@ from .features import (
     oracle_match,
 )
 from .geometry import CameraIntrinsics, Pose, pose_delta
-from .pnp import Correspondence, RansacConfig, solve_pnp
+from .pnp import Correspondences, RansacConfig, solve_pnp
 from .renderer import render
 from .scene import SplatScene
 
@@ -50,7 +50,7 @@ STATUS_FAILED = "failed"
 
 def lift_to_3d(
     matches: list[FeatureMatch], anchor: AnchorRecord, cam: CameraIntrinsics
-) -> list[Correspondence]:
+) -> Correspondences:
     """Turn 2D-2D matches into 2D-3D correspondences via rendered depth.
 
     The reference pixel's depth is sampled bilinearly; a match is dropped
@@ -58,29 +58,26 @@ def lift_to_3d(
     window leaves the image.  Surviving reference pixels are back-projected
     and mapped through the anchor pose into world coordinates.
     """
-    corrs: list[Correspondence] = []
     depth = anchor.depth
     H, W = depth.shape
-    for match in matches:
-        u, v = match.pixel_ref
-        u0, v0 = int(np.floor(u)), int(np.floor(v))
-        if u0 < 0 or v0 < 0 or u0 + 1 > W - 1 or v0 + 1 > H - 1:
-            continue
-        patch = depth[v0 : v0 + 2, u0 : u0 + 2]
-        if np.any(patch <= 0.0):
-            continue
-        au, av = u - u0, v - v0
-        d = (
-            patch[0, 0] * (1 - au) * (1 - av)
-            + patch[0, 1] * au * (1 - av)
-            + patch[1, 0] * (1 - au) * av
-            + patch[1, 1] * au * av
-        )
-        point_cam = cam.backproject(match.pixel_ref[None, :], np.array([d]))[0]
-        corrs.append(
-            Correspondence(pixel=match.pixel_query, point=anchor.pose.apply(point_cam))
-        )
-    return corrs
+    ref = np.array([m.pixel_ref for m in matches]).reshape(-1, 2)
+    query = np.array([m.pixel_query for m in matches]).reshape(-1, 2)
+    u0f, v0f = np.floor(ref[:, 0]), np.floor(ref[:, 1])
+    inside = (u0f >= 0) & (v0f >= 0) & (u0f + 1 <= W - 1) & (v0f + 1 <= H - 1)
+    ref, query, u0f, v0f = ref[inside], query[inside], u0f[inside], v0f[inside]
+
+    u0, v0 = u0f.astype(np.intp), v0f.astype(np.intp)
+    patch = depth[v0[:, None, None] + np.array([[0], [1]]), u0[:, None, None] + np.array([0, 1])]
+    valid = ~np.any(patch <= 0.0, axis=(1, 2))
+    ref, query, patch = ref[valid], query[valid], patch[valid]
+    au, av = ref[:, 0] - u0f[valid], ref[:, 1] - v0f[valid]
+    d = (
+        patch[:, 0, 0] * (1 - au) * (1 - av)
+        + patch[:, 0, 1] * au * (1 - av)
+        + patch[:, 1, 0] * (1 - au) * av
+        + patch[:, 1, 1] * au * av
+    )
+    return Correspondences(pixels=query, points=anchor.pose.apply(cam.backproject(ref, d)))
 
 
 @dataclass
@@ -206,6 +203,9 @@ class IterationTrace:
     uniformity: float
     trans_delta: float  # update size vs the previous estimate, meters
     rot_delta: float  # radians
+    # Consensus of this iteration's pose solve; None when no solve succeeded.
+    inlier_count: int | None = None
+    mean_reprojection_error: float | None = None  # pixels, over the inliers
     detect_ms: float = 0.0
     match_ms: float = 0.0
     pnp_ms: float = 0.0
@@ -233,6 +233,8 @@ class RelocalizationResult:
                 "uniformity": tr.uniformity,
                 "trans_delta": tr.trans_delta,
                 "rot_delta": tr.rot_delta,
+                "inlier_count": tr.inlier_count,
+                "mean_reprojection_error": tr.mean_reprojection_error,
             }
             if include_timings:
                 entry.update(
@@ -361,6 +363,8 @@ def relocalize(
                 match_count=stats.count, mean_confidence=stats.mean_confidence,
                 uniformity=stats.uniformity,
                 trans_delta=trans_delta, rot_delta=rot_delta,
+                inlier_count=report.inlier_count,
+                mean_reprojection_error=report.mean_reprojection_error,
                 detect_ms=outcome.detect_ms, match_ms=outcome.match_ms,
                 pnp_ms=pnp_ms, render_ms=render_ms,
             )

@@ -13,7 +13,7 @@ import pytest
 
 from splatreloc import (
     CameraIntrinsics,
-    Correspondence,
+    Correspondences,
     DEFAULT_CAMERA,
     Gaussian3D,
     OracleConfig,
@@ -68,8 +68,7 @@ def consistent_case(seed, n=20, noise=0.0, outliers=0, cam=CAM, z_range=(3.0, 8.
         bad = rng.choice(n, outliers, replace=False)
         observed[bad, 0] = rng.uniform(0, cam.width, outliers)
         observed[bad, 1] = rng.uniform(0, cam.height, outliers)
-    corrs = [Correspondence(observed[i], points[i]) for i in range(n)]
-    return pose, corrs
+    return pose, Correspondences(observed, points)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,16 @@ class TestQuatNormalize:
         with pytest.raises(ValueError):
             quat_normalize(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError):
+            quat_normalize(np.array([bad, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pose_with_non_finite_rotation_raises(self, bad):
+        with pytest.raises(ValueError):
+            Pose(np.array([bad, 0.0, 0.0, 0.0]), np.zeros(3))
+
 
 class TestQuatAlgebra:
     def test_multiply_matches_reference(self):

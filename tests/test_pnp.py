@@ -7,7 +7,7 @@ import pytest
 from splatreloc import (
     CameraIntrinsics,
     CheiralityViolation,
-    Correspondence,
+    Correspondences,
     DegenerateGeometry,
     InsufficientMatches,
     NoConsensus,
@@ -22,8 +22,9 @@ from splatreloc import (
 from splatreloc.geometry import quat_from_rotvec, random_unit_quaternion
 from splatreloc.pnp import (
     BundleAdjustConfig,
+    _control_points,
+    _epnp_batch,
     apply_delta,
-    compute_control_points,
     reprojection_residuals,
 )
 
@@ -48,8 +49,7 @@ def make_case(seed, n=20, noise=0.0, outliers=0, cam=CAM, z_range=(3.0, 8.0)):
         bad = rng.choice(n, outliers, replace=False)
         observed[bad, 0] = rng.uniform(0, cam.width, outliers)
         observed[bad, 1] = rng.uniform(0, cam.height, outliers)
-    corrs = [Correspondence(observed[i], points[i]) for i in range(n)]
-    return pose, corrs
+    return pose, Correspondences(observed, points)
 
 
 # ===========================================================================
@@ -58,35 +58,38 @@ def make_case(seed, n=20, noise=0.0, outliers=0, cam=CAM, z_range=(3.0, 8.0)):
 
 
 class TestControlPoints:
+    """The batched helper on one-cloud stacks: (1, n, 3) in, stacked results out."""
+
     def test_first_control_point_is_centroid(self, rng):
         points = rng.normal(size=(15, 3))
-        cps = compute_control_points(points)
-        np.testing.assert_allclose(cps.control_points[0], points.mean(axis=0), atol=1e-12)
+        control, _, _ = _control_points(points[None])
+        np.testing.assert_allclose(control[0, 0], points.mean(axis=0), atol=1e-12)
 
     def test_barycentric_weights_sum_to_one(self, rng):
         points = rng.normal(size=(12, 3))
-        cps = compute_control_points(points)
-        np.testing.assert_allclose(cps.weights.sum(axis=1), 1.0, atol=1e-9)
+        _, weights, _ = _control_points(points[None])
+        np.testing.assert_allclose(weights[0].sum(axis=1), 1.0, atol=1e-9)
 
     def test_weights_reconstruct_points(self, rng):
         for _ in range(10):
             points = rng.normal(size=(10, 3)) * rng.uniform(0.5, 3.0)
-            cps = compute_control_points(points)
-            reconstructed = cps.weights @ cps.control_points
+            control, weights, _ = _control_points(points[None])
+            reconstructed = weights[0] @ control[0]
             np.testing.assert_allclose(reconstructed, points, atol=1e-9)
 
     def test_unit_tetrahedron_reconstruction(self):
         points = np.array(
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
-        cps = compute_control_points(points)
-        np.testing.assert_allclose(cps.weights @ cps.control_points, points, atol=1e-12)
+        control, weights, _ = _control_points(points[None])
+        np.testing.assert_allclose(weights[0] @ control[0], points, atol=1e-12)
 
-    def test_coplanar_points_raise(self, rng):
+    def test_coplanar_points_flagged(self, rng):
         points = rng.normal(size=(10, 3))
         points[:, 2] = 2.0  # flatten onto a plane
-        with pytest.raises(DegenerateGeometry):
-            compute_control_points(points)
+        _, weights, coplanar = _control_points(points[None])
+        assert coplanar.tolist() == [True]
+        assert np.all(np.isfinite(weights))
 
 
 # ===========================================================================
@@ -173,9 +176,8 @@ class TestEpnp:
         pixels = np.column_stack([rng.uniform(20, 300, 12), rng.uniform(20, 220, 12)])
         local = CAM.backproject(pixels, np.full(12, 5.0))  # all at depth 5: coplanar
         points = pose.apply(local)
-        corrs = [Correspondence(pixels[i], points[i]) for i in range(12)]
         with pytest.raises(DegenerateGeometry):
-            epnp(corrs, CAM)
+            epnp(Correspondences(pixels, points), CAM)
 
     def test_report_fields(self):
         _, corrs = make_case(3, n=15)
@@ -183,6 +185,52 @@ class TestEpnp:
         assert report.inlier_count == 15
         assert report.converged
         assert report.mean_reprojection_error < 1e-6
+
+
+class TestEpnpBatch:
+    def test_batch_matches_single_calls(self):
+        """One batch mixing good, coplanar, all-behind and camera-straddling
+        samples does not raise, marks exactly the samples a single call
+        rejects, and gives every other sample the single call's pose."""
+        rng = np.random.default_rng(17)
+        pose = random_pose(rng)
+        pixels, points = [], []
+        for k in range(24):
+            px = np.column_stack([rng.uniform(10, 310, 6), rng.uniform(10, 230, 6)])
+            front, behind = rng.uniform(3.0, 8.0, 6), -rng.uniform(3.0, 8.0, 6)
+            kind = k % 4
+            if kind == 0:
+                pts = pose.apply(CAM.backproject(px, front))
+            elif kind == 1:
+                # Exactly coplanar: the barycentric system is singular, which
+                # would fail a stacked np.linalg.solve for the whole batch.
+                pts = rng.normal(size=(6, 3))
+                pts[:, 2] = 2.0
+            elif kind == 2:
+                pts = pose.apply(CAM.backproject(px, behind))
+            else:  # straddling the camera plane
+                pts = pose.apply(CAM.backproject(px, np.r_[front[:3], behind[3:]]))
+            pixels.append(px)
+            points.append(pts)
+        pixels, points = np.array(pixels), np.array(points)
+
+        hyp = _epnp_batch(pixels, points, CAM)
+        rejected = set()
+        for k in range(len(pixels)):
+            try:
+                single = epnp(Correspondences(pixels[k], points[k]), CAM)
+            except DegenerateGeometry:
+                rejected.add("coplanar")
+                assert hyp.coplanar[k]
+            except CheiralityViolation:
+                rejected.add("behind")
+                assert not hyp.coplanar[k] and not np.isfinite(hyp.error[k])
+            else:
+                assert hyp.solved[k]
+                np.testing.assert_allclose(
+                    hyp.pose(k).as_array(), single.pose.as_array(), rtol=0, atol=1e-12
+                )
+        assert rejected == {"coplanar", "behind"}
 
 
 # ===========================================================================
@@ -232,9 +280,7 @@ class TestReprojectionResiduals:
         """Residual is (observed - projected) per pixel coordinate, matching
         the sign the jacobian is built for."""
         pose, corrs = make_case(6, n=8)
-        shifted = [
-            Correspondence(c.pixel + np.array([1.0, -2.0]), c.point) for c in corrs
-        ]
+        shifted = Correspondences(corrs.pixels + np.array([1.0, -2.0]), corrs.points)
         residuals, _ = reprojection_residuals(shifted, CAM, pose)
         np.testing.assert_allclose(residuals.reshape(-1, 2)[:, 0], 1.0, atol=1e-9)
         np.testing.assert_allclose(residuals.reshape(-1, 2)[:, 1], -2.0, atol=1e-9)
@@ -305,7 +351,7 @@ class TestRefineBa:
         observed = pixels.copy()
         bad = rng.choice(n, 12, replace=False)
         observed[bad] += rng.uniform(20, 60, (12, 2)) * rng.choice([-1, 1], (12, 2))
-        corrs = [Correspondence(observed[i], points[i]) for i in range(n)]
+        corrs = Correspondences(observed, points)
         init = Pose(pose.rotation, pose.translation + np.array([0.05, 0.0, 0.0]))
 
         robust = refine_ba(corrs, CAM, init, BundleAdjustConfig(huber_delta=2.0))
@@ -318,20 +364,22 @@ class TestRefineBa:
     def test_points_behind_camera_are_dropped(self):
         pose, corrs = make_case(30, n=20)
         # fabricate impossible points behind the camera; they must be ignored
-        behind = [
-            Correspondence(np.array([50.0, 50.0]), pose.apply(np.array([0.0, 0.0, -4.0])))
-        ]
-        report = refine_ba(corrs + behind, CAM, pose)
+        behind_pixel = np.array([[50.0, 50.0]])
+        behind_point = pose.apply(np.array([[0.0, 0.0, -4.0]]))
+        corrs = Correspondences(
+            np.vstack([corrs.pixels, behind_pixel]), np.vstack([corrs.points, behind_point])
+        )
+        report = refine_ba(corrs, CAM, pose)
         trans, _ = pose_delta(report.pose, pose)
         assert trans < 1e-9
 
     def test_all_points_behind_camera_raise(self):
         pose, corrs = make_case(31, n=10)
         flipped = Pose(pose.rotation, pose.translation)
-        behind = [
-            Correspondence(c.pixel, flipped.apply(np.array([0.0, 0.0, -5.0]) + 0.01 * i))
-            for i, c in enumerate(corrs)
-        ]
+        offsets = 0.01 * np.arange(len(corrs))[:, None]
+        behind = Correspondences(
+            corrs.pixels, flipped.apply(np.array([0.0, 0.0, -5.0]) + offsets)
+        )
         with pytest.raises(CheiralityViolation):
             refine_ba(behind, CAM, pose)
 
@@ -374,9 +422,9 @@ class TestSolvePnp:
         pose, corrs = make_case(50, n=80, noise=0.3, outliers=20)
         config = RansacConfig(seed=9)
         report_a = solve_pnp(corrs, CAM, config)
-        shuffled = list(corrs)
-        np.random.default_rng(123).shuffle(shuffled)
-        report_b = solve_pnp(shuffled, CAM, config)
+        perm = np.arange(len(corrs))
+        np.random.default_rng(123).shuffle(perm)
+        report_b = solve_pnp(corrs[perm], CAM, config)
         trans, rot = pose_delta(report_a.pose, report_b.pose)
         assert trans < 1e-9
         assert rot < 1e-9
@@ -396,13 +444,13 @@ class TestSolvePnp:
 
     def test_garbage_raises_no_consensus(self):
         rng = np.random.default_rng(0)
-        corrs = [
-            Correspondence(
-                np.array([rng.uniform(0, 320), rng.uniform(0, 240)]),
-                rng.uniform(-5, 5, 3),
-            )
+        draws = [
+            (np.array([rng.uniform(0, 320), rng.uniform(0, 240)]), rng.uniform(-5, 5, 3))
             for _ in range(30)
         ]
+        corrs = Correspondences(
+            np.array([px for px, _ in draws]), np.array([pt for _, pt in draws])
+        )
         with pytest.raises(NoConsensus):
             solve_pnp(corrs, CAM, RansacConfig(seed=0))
 

@@ -50,8 +50,8 @@ class TestLiftTo3d:
         anchor = flat_anchor(cam, depth_value=5.0)
         corrs = lift_to_3d([match_at(cam.cx, cam.cy)], anchor, cam)
         assert len(corrs) == 1
-        assert_allclose(corrs[0].point, [0.0, 0.0, 5.0], atol=1e-12)
-        assert_allclose(corrs[0].pixel, [cam.cx, cam.cy], atol=1e-12)
+        assert_allclose(corrs.points[0], [0.0, 0.0, 5.0], atol=1e-12)
+        assert_allclose(corrs.pixels[0], [cam.cx, cam.cy], atol=1e-12)
 
     def test_bilinear_on_linear_ramp(self, cam, rng):
         """A depth plane that is linear in u and v is sampled exactly.
@@ -73,10 +73,10 @@ class TestLiftTo3d:
         for _ in range(20):
             u = float(rng.uniform(1, cam.width - 2))
             v = float(rng.uniform(1, cam.height - 2))
-            (corr,) = lift_to_3d([match_at(u, v)], anchor, cam)
+            (point,) = lift_to_3d([match_at(u, v)], anchor, cam).points
             d = 2.0 + 0.01 * u + 0.02 * v
             p_cam = np.array([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d])
-            assert_allclose(corr.point, R @ p_cam + pose.translation, atol=1e-9)
+            assert_allclose(point, R @ p_cam + pose.translation, atol=1e-9)
 
     def test_sky_neighbor_drops_match(self, cam):
         """A zero-depth pixel in the 2x2 sample window invalidates the match."""
@@ -84,7 +84,7 @@ class TestLiftTo3d:
         anchor.depth[8, 12] = 0.0
         kept = lift_to_3d([match_at(11.5, 7.5), match_at(20.5, 20.5)], anchor, cam)
         assert len(kept) == 1
-        assert_allclose(kept[0].pixel, [20.5, 20.5])
+        assert_allclose(kept.pixels[0], [20.5, 20.5])
 
     def test_border_pixels_dropped(self, cam):
         """Sample windows that leave the image are rejected."""
@@ -97,10 +97,10 @@ class TestLiftTo3d:
         ]
         kept = lift_to_3d(matches, anchor, cam)
         assert len(kept) == 1
-        assert_allclose(kept[0].pixel, [10.0, 10.0])
+        assert_allclose(kept.pixels[0], [10.0, 10.0])
 
     def test_empty_input(self, cam):
-        assert lift_to_3d([], flat_anchor(cam), cam) == []
+        assert len(lift_to_3d([], flat_anchor(cam), cam)) == 0
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,7 @@ class TestResultSerialization:
         trace_keys = {
             "iteration", "pose", "match_count", "mean_confidence",
             "uniformity", "trans_delta", "rot_delta",
+            "inlier_count", "mean_reprojection_error",
         }
         assert all(set(tr) == trace_keys for tr in payload["traces"])
 
