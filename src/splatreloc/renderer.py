@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ImageFormatError
 from .geometry import CameraIntrinsics, Pose
-from .scene import Gaussian3D, SplatScene
+from .scene import SplatScene
 
 #: Diagonal regularization added to every screen-space covariance (px^2).
 COV2D_REGULARIZATION = 0.3
@@ -38,17 +38,6 @@ EXTENT_SIGMA = 3.0
 TRANSMITTANCE_FLOOR = 1e-4
 #: Accumulated opacity needed before the depth channel counts as valid.
 DEPTH_VALID_OPACITY = 0.5
-
-
-@dataclass(frozen=True)
-class ProjectedGaussian:
-    """Screen-space footprint of one Gaussian."""
-
-    mean2d: np.ndarray  # (2,) pixel center
-    cov2d: np.ndarray  # (2, 2) screen covariance, regularized
-    depth: float  # camera-frame z of the center
-    opacity: float
-    color: np.ndarray  # (3,)
 
 
 @dataclass
@@ -74,6 +63,12 @@ def _quats_to_matrices(quats: np.ndarray) -> np.ndarray:
     R[:, 2, 1] = 2 * (y * z + w * x)
     R[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return R
+
+
+def _world_covariances(quats: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) world-frame covariances R diag(s^2) R^T of unit-quaternion Gaussians."""
+    RS = _quats_to_matrices(quats) * scales[:, None, :]  # R @ diag(s)
+    return RS @ np.transpose(RS, (0, 2, 1))
 
 
 def _project_arrays(
@@ -106,9 +101,7 @@ def _project_arrays(
     mean2d = np.column_stack([u, v])
 
     # World covariance rotated into the camera frame.
-    Rg = _quats_to_matrices(quats)
-    RS = Rg * scales[:, None, :]  # R @ diag(s)
-    cov_world = RS @ np.transpose(RS, (0, 2, 1))
+    cov_world = _world_covariances(quats, scales)
     Rwc = R_c2w.T
     cov_cam = np.einsum("ij,njk,lk->nil", Rwc, cov_world, Rwc)
 
@@ -132,24 +125,6 @@ def _project_arrays(
     return keep, mean2d, cov2d, z, radius
 
 
-def project_gaussian(
-    gaussian: Gaussian3D, pose: Pose, cam: CameraIntrinsics
-) -> ProjectedGaussian | None:
-    """Screen-space footprint of one Gaussian, or None if culled."""
-    keep, mean2d, cov2d, depth, _ = _project_arrays(
-        gaussian.mean[None, :], gaussian.rotation[None, :], gaussian.scale[None, :], pose, cam
-    )
-    if not keep[0]:
-        return None
-    return ProjectedGaussian(
-        mean2d=mean2d[0],
-        cov2d=cov2d[0],
-        depth=float(depth[0]),
-        opacity=gaussian.opacity,
-        color=gaussian.color.copy(),
-    )
-
-
 def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput:
     """Rasterize the scene from `pose` into RGB, depth, and opacity images."""
     H, W = cam.height, cam.width
@@ -158,20 +133,19 @@ def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput
     depth_sum = np.zeros((H, W))
     trans = np.ones((H, W))
 
-    arrays = scene.arrays()
     keep, mean2d, cov2d, z, radius = _project_arrays(
-        arrays["means"], arrays["quats"], arrays["scales"], pose, cam
+        scene.means, scene.quats, scene.scales, pose, cam
     )
     idx = np.flatnonzero(keep)
     if idx.size:
         # Front-to-back order with a content-based tie break so the output is
-        # independent of the order Gaussians appear in the scene list.
-        m = arrays["means"][idx]
+        # independent of the order Gaussians appear in the scene arrays.
+        m = scene.means[idx]
         order = np.lexsort((m[:, 0], m[:, 1], m[:, 2], z[idx]))
         idx = idx[order]
 
-        opac = arrays["opacities"]
-        colors = arrays["colors"]
+        opac = scene.opacities
+        colors = scene.colors
         cutoff_q = EXTENT_SIGMA**2
         for i in idx:
             cx, cy = mean2d[i]

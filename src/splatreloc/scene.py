@@ -14,13 +14,15 @@ deviations (s, meters), opacity in (0, 1], and RGB color in [0, 1].
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SplatFormatError
-from .geometry import CameraIntrinsics, Pose, Trajectory, look_at, quat_normalize, quat_to_matrix
+from .geometry import _QUAT_NORM_EPS, CameraIntrinsics, Pose, Trajectory, look_at
 
 RECORD_FIELDS = 14
 
@@ -29,120 +31,184 @@ RECORD_FIELDS = 14
 DEFAULT_CAMERA = CameraIntrinsics(fx=250.0, fy=250.0, cx=160.0, cy=120.0, width=320, height=240)
 
 
-@dataclass(frozen=True)
-class Gaussian3D:
-    """One anisotropic 3D Gaussian primitive."""
-
-    mean: np.ndarray  # (3,) world position
-    rotation: np.ndarray  # unit quaternion (w, x, y, z)
-    scale: np.ndarray  # (3,) per-axis standard deviations, meters, > 0
-    opacity: float  # (0, 1]
-    color: np.ndarray  # (3,) RGB in [0, 1]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "rotation", quat_normalize(self.rotation))
-        scale = np.asarray(self.scale, dtype=np.float64).reshape(3)
-        if np.any(scale <= 0):
-            raise ValueError("gaussian scale components must be positive")
-        object.__setattr__(self, "scale", scale)
-        if not 0.0 < self.opacity <= 1.0:
-            raise ValueError("gaussian opacity must lie in (0, 1]")
-        color = np.asarray(self.color, dtype=np.float64).reshape(3)
-        if np.any(color < 0.0) or np.any(color > 1.0):
-            raise ValueError("gaussian color must lie in [0, 1]")
-        object.__setattr__(self, "color", color)
-
-    def covariance(self) -> np.ndarray:
-        """World-frame 3x3 covariance R diag(s^2) R^T."""
-        R = quat_to_matrix(self.rotation)
-        return R @ np.diag(self.scale**2) @ R.T
+#: Per-Gaussian arrays of a scene, in file-record order, with their widths
+#: (None for one value per Gaussian).
+_ARRAY_WIDTHS = {"means": 3, "quats": 4, "scales": 3, "opacities": None, "colors": 3}
 
 
-@dataclass
+def _first_fault(
+    means: np.ndarray,
+    quats: np.ndarray,
+    scales: np.ndarray,
+    opacities: np.ndarray,
+    colors: np.ndarray,
+    quat_norms: np.ndarray,
+) -> str | None:
+    """``"record i: <rule>"`` for the first Gaussian that breaks a rule, else None.
+
+    The rules are listed in the order one record is checked, so a record
+    that breaks several reports the first of them.
+    """
+    finite = (
+        np.isfinite(means).all(axis=1)
+        & np.isfinite(quats).all(axis=1)
+        & np.isfinite(scales).all(axis=1)
+        & np.isfinite(opacities)
+        & np.isfinite(colors).all(axis=1)
+    )
+    rules = (
+        (~finite, "non-finite value"),
+        ((scales <= 0.0).any(axis=1), "scale must be positive"),
+        (~((opacities > 0.0) & (opacities <= 1.0)), "opacity must lie in (0, 1]"),
+        (((colors < 0.0) | (colors > 1.0)).any(axis=1), "color must lie in [0, 1]"),
+        (~np.isfinite(quat_norms), "quaternion must be finite"),
+        (quat_norms < _QUAT_NORM_EPS, "quaternion has near-zero norm"),
+    )
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if not broken.any():
+        return None
+    i = int(np.argmax(broken))
+    return f"record {i}: " + next(rule for mask, rule in rules if mask[i])
+
+
+@dataclass(frozen=True, eq=False)
 class SplatScene:
-    """A list of Gaussian primitives plus a background sky color."""
+    """Gaussian primitives as five read-only arrays, plus a background sky color.
 
-    gaussians: list[Gaussian3D] = field(default_factory=list)
+    Row i of each array describes Gaussian i: ``means (n, 3)`` world
+    positions, ``quats (n, 4)`` wxyz orientations, ``scales (n, 3)`` per-axis
+    standard deviations in meters (> 0), ``opacities (n,)`` in (0, 1] and
+    ``colors (n, 3)`` RGB in [0, 1].  Construction copies the arrays,
+    validates them in one vectorized pass (all values finite, plus the ranges
+    above), normalizes each quaternion to unit norm with w >= 0, and makes
+    every array read-only: a changed scene is a new ``SplatScene``.  A
+    ``ValueError`` names the first bad Gaussian as ``record i``.
+    """
+
+    means: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    quats: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    scales: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    opacities: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    colors: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     sky_color: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    _arrays_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sky = np.asarray(self.sky_color, dtype=np.float64).reshape(3)
-        if np.any(sky < 0.0) or np.any(sky > 1.0):
+        sky = np.array(self.sky_color, dtype=np.float64).reshape(3)
+        if not np.all((sky >= 0.0) & (sky <= 1.0)):
             raise ValueError("sky color must lie in [0, 1]")
-        self.sky_color = sky
+        arrays = {name: np.array(getattr(self, name), dtype=np.float64) for name in _ARRAY_WIDTHS}
+        n = arrays["opacities"].size
+        for name, width in _ARRAY_WIDTHS.items():
+            shape = (n,) if width is None else (n, width)
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arrays[name].shape}")
+
+        quats = arrays["quats"]
+        # One BLAS dot per row, the sum np.linalg.norm takes for a single
+        # quaternion (geometry.quat_normalize); an axis reduction such as
+        # (q * q).sum(1) rounds differently in the last bit on ~12% of rows.
+        norms = np.sqrt((quats[:, None, :] @ quats[:, :, None]).reshape(n))
+        fault = _first_fault(**arrays, quat_norms=norms)
+        if fault is not None:
+            raise ValueError(fault)
+        quats = quats / norms[:, None]
+        arrays["quats"] = np.where(quats[:, :1] < 0.0, -quats, quats)
+
+        sky.flags.writeable = False
+        object.__setattr__(self, "sky_color", sky)
+        for name, values in arrays.items():
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
-        return len(self.gaussians)
+        return len(self.opacities)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Stack all primitives into flat arrays (means, quats, scales, ...).
-
-        Cached after the first call: scenes are treated as immutable once
-        built, which keeps repeated rendering of large scenes cheap.
-        """
-        if self._arrays_cache is not None and len(self._arrays_cache["opacities"]) == len(self):
-            return self._arrays_cache
-        n = len(self.gaussians)
-        if n == 0:
-            cache = {
-                "means": np.zeros((0, 3)),
-                "quats": np.zeros((0, 4)),
-                "scales": np.zeros((0, 3)),
-                "opacities": np.zeros(0),
-                "colors": np.zeros((0, 3)),
-            }
-        else:
-            cache = {
-                "means": np.array([g.mean for g in self.gaussians]),
-                "quats": np.array([g.rotation for g in self.gaussians]),
-                "scales": np.array([g.scale for g in self.gaussians]),
-                "opacities": np.array([g.opacity for g in self.gaussians]),
-                "colors": np.array([g.color for g in self.gaussians]),
-            }
-        self._arrays_cache = cache
-        return cache
+        """The five per-Gaussian arrays by name, in file-record order (not copies)."""
+        return {name: getattr(self, name) for name in _ARRAY_WIDTHS}
 
 
 def save_splat_scene(path: str | Path, scene: SplatScene) -> None:
     """Write a scene in the ``gsplat v1`` ASCII format."""
-    lines = [f"gsplat v1 {len(scene.gaussians)}"]
+    records = np.column_stack(list(scene.arrays().values()))
+    lines = [f"gsplat v1 {len(scene)}"]
     lines.append("sky " + " ".join(repr(float(v)) for v in scene.sky_color))
-    for g in scene.gaussians:
-        record = np.concatenate([g.mean, g.rotation, g.scale, [g.opacity], g.color])
-        lines.append(" ".join(repr(float(v)) for v in record))
+    lines.extend(" ".join(map(repr, record)) for record in records.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_record(fields: list[str], index: int, path: str | Path) -> Gaussian3D:
-    if len(fields) != RECORD_FIELDS:
-        raise SplatFormatError(
-            f"{path}: record {index}: expected {RECORD_FIELDS} fields, got {len(fields)}"
-        )
+def _scene_of_records(records: np.ndarray, sky: np.ndarray, path: str | Path) -> SplatScene:
+    """Scene from (n, 14) file records; a broken rule becomes a format error."""
     try:
-        values = np.array([float(f) for f in fields])
+        return SplatScene(
+            records[:, 0:3], records[:, 3:7], records[:, 7:10], records[:, 10], records[:, 11:14], sky
+        )
     except ValueError as exc:
-        raise SplatFormatError(f"{path}: record {index}: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        raise SplatFormatError(f"{path}: record {index}: non-finite value")
-    if np.any(values[7:10] <= 0.0):
-        raise SplatFormatError(f"{path}: record {index}: scale must be positive")
-    if not 0.0 < values[10] <= 1.0:
-        raise SplatFormatError(f"{path}: record {index}: opacity must lie in (0, 1]")
-    if np.any(values[11:14] < 0.0) or np.any(values[11:14] > 1.0):
-        raise SplatFormatError(f"{path}: record {index}: color must lie in [0, 1]")
-    return Gaussian3D(
-        mean=values[0:3],
-        rotation=values[3:7],
-        scale=values[7:10],
-        opacity=float(values[10]),
-        color=values[11:14],
-    )
+        raise SplatFormatError(f"{path}: {exc}") from None
 
 
-def load_splat_scene(path: str | Path) -> SplatScene:
-    """Read a ``gsplat v1`` scene file, validating every record."""
+#: The bytes ``save_splat_scene`` writes: printable ASCII, tabs and newlines.
+_PLAIN_BYTES = bytes([9, 10, *range(32, 127)])
+#: Header line and optional sky line of a plain file, blank lines allowed.
+_PLAIN_PREAMBLE = re.compile(
+    rb"\s*gsplat[ \t]+v1[ \t]+(\d+)[ \t]*(?:\n|\Z)"
+    rb"(?:\s*sky[ \t]+(\S+)[ \t]+(\S+)[ \t]+(\S+)[ \t]*(?:\n|\Z))?"
+)
+
+
+def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sky and (count, 14) records of a well-formed file, in one vectorized pass.
+
+    Returns None, leaving the file to ``_parse_lines``, unless the file holds
+    only plain bytes, its header and sky line are valid, and its ``count``
+    non-blank record lines each have 14 fields that all parse as numbers.
+    """
+    data = data.replace(b"\r\n", b"\n")
+    head = _PLAIN_PREAMBLE.match(data)
+    if head is None or data.translate(None, _PLAIN_BYTES):
+        return None
+    count = int(head[1])
+    sky = np.zeros(3)
+    if head[2] is not None:
+        try:
+            sky = np.array([float(v) for v in head.groups()[1:]])
+        except ValueError:
+            return None
+        if not np.all((sky >= 0.0) & (sky <= 1.0)):
+            return None
+
+    # Fields per line: token starts (a byte above space after one at or below
+    # it) between consecutive newlines; blank lines have none.
+    body = data[head.end() :]
+    codes = np.frombuffer(body, dtype=np.uint8)
+    in_token = codes > 32
+    starts = np.flatnonzero(in_token[1:] > in_token[:-1]) + 1
+    before = np.searchsorted(starts, np.flatnonzero(codes == 10))
+    fields = np.diff(before, prepend=0, append=starts.size)
+    fields[0] += in_token[:1].sum()
+    fields = fields[fields > 0]
+    if fields.size != count or np.any(fields != RECORD_FIELDS):
+        return None
+
+    # Older numpy releases warn, rather than raise, on a token they cannot
+    # parse, and return the values before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(body, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != count * RECORD_FIELDS:
+        return None
+    return sky, values.reshape(count, RECORD_FIELDS)
+
+
+def _parse_lines(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Sky and (count, 14) records, reading the file one line at a time.
+
+    Raises the ``SplatFormatError`` that names the file's first fault; any
+    file ``_parse_plain`` declines comes here.
+    """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise SplatFormatError(f"{path}: empty file")
@@ -172,8 +238,32 @@ def load_splat_scene(path: str | Path) -> SplatScene:
 
     if len(body) != count:
         raise SplatFormatError(f"{path}: header promises {count} records, found {len(body)}")
-    gaussians = [_parse_record(line.split(), i, path) for i, line in enumerate(body)]
-    return SplatScene(gaussians=gaussians, sky_color=sky)
+    rows: list[list[float]] = []
+    for i, line in enumerate(body):
+        fields = line.split()
+        try:
+            if len(fields) != RECORD_FIELDS:
+                raise ValueError(f"expected {RECORD_FIELDS} fields, got {len(fields)}")
+            rows.append([float(f) for f in fields])
+        except ValueError as exc:
+            # A rule broken by an earlier record is that record's fault, reported first.
+            _scene_of_records(np.array(rows).reshape(-1, RECORD_FIELDS), sky, path)
+            raise SplatFormatError(f"{path}: record {i}: {exc}") from None
+    return sky, np.array(rows).reshape(-1, RECORD_FIELDS)
+
+
+def load_splat_scene(path: str | Path) -> SplatScene:
+    """Read a ``gsplat v1`` scene file, validating every record.
+
+    A file laid out as ``save_splat_scene`` writes it is parsed in one
+    vectorized pass and validated once by ``SplatScene``.  Any other file, or
+    one whose header or records do not parse, is read line by line.  Either
+    way a ``SplatFormatError`` names the file's first fault with the same
+    text, for a record as ``record i: ...``.
+    """
+    parsed = _parse_plain(Path(path).read_bytes())
+    sky, records = parsed if parsed is not None else _parse_lines(path)
+    return _scene_of_records(records, sky, path)
 
 
 @dataclass(frozen=True)
@@ -233,11 +323,7 @@ def generate_synthetic_scene(
     colors = rng.uniform(0.0, 1.0, size=(n, 3))
     sky = rng.uniform(0.0, 1.0, size=3)
 
-    gaussians = [
-        Gaussian3D(means[i], quats[i], scales[i], float(opacities[i]), colors[i])
-        for i in range(n)
-    ]
-    scene = SplatScene(gaussians=gaussians, sky_color=sky)
+    scene = SplatScene(means, quats, scales, opacities, colors, sky)
 
     # Straight path parallel to x at a stand-off distance, each pose looking at
     # the cloud center.  The stand-off keeps the whole cube in front of the

@@ -5,10 +5,20 @@ import pytest
 
 from splatreloc import (
     CameraIntrinsics,
+    SplatScene,
     SyntheticSceneConfig,
     build_anchor_db,
     generate_synthetic_scene,
 )
+
+
+def scene_from(gaussians, sky=(0.0, 0.0, 0.0)) -> SplatScene:
+    """A scene from (mean, quat, scale, opacity, color) rows, one per Gaussian."""
+    n = len(gaussians)
+    columns = list(zip(*gaussians)) if n else [()] * 5
+    shapes = [(n, 3), (n, 4), (n, 3), (n,), (n, 3)]
+    arrays = [np.array(c, dtype=float).reshape(s) for c, s in zip(columns, shapes)]
+    return SplatScene(*arrays, sky_color=sky)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from splatreloc import (
     CameraIntrinsics,
     Correspondences,
     DEFAULT_CAMERA,
-    Gaussian3D,
     OracleConfig,
     OracleMatcher,
     Pose,
@@ -39,6 +38,8 @@ from splatreloc import (
 from splatreloc.cli import main as cli_main
 from splatreloc.geometry import quat_from_axis_angle, quat_multiply
 from splatreloc.pnp import apply_delta, reprojection_residuals
+
+from conftest import scene_from
 
 CAM = CameraIntrinsics(fx=250.0, fy=250.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -198,12 +199,10 @@ def test_criterion_04_renderer_identities(capsys):
     sky = np.array([0.15, 0.3, 0.45])
     pose = Pose.identity()
 
-    empty = render(SplatScene([], sky), pose, CAM)
+    empty = render(SplatScene(sky_color=sky), pose, CAM)
     sky_exact = bool(np.array_equal(empty.rgb, np.broadcast_to(sky, empty.rgb.shape)))
 
-    single = SplatScene(
-        [Gaussian3D([0.0, 0.0, 5.0], [1, 0, 0, 0], [0.08] * 3, 0.9, [1.0, 0.0, 0.0])], sky
-    )
+    single = scene_from([([0.0, 0.0, 5.0], [1, 0, 0, 0], [0.08] * 3, 0.9, [1.0, 0.0, 0.0])], sky)
     out = render(single, pose, CAM)
     peak = tuple(int(v) for v in np.unravel_index(np.argmax(out.opacity), out.opacity.shape))
     peak_ok = peak == (120, 160)
@@ -211,13 +210,13 @@ def test_criterion_04_renderer_identities(capsys):
 
     color = np.array([0.8, 0.4, 0.1])
     gaussians = [
-        Gaussian3D(
+        (
             rng.uniform(-2, 2, 3) + [0, 0, 6], rng.normal(size=4),
             rng.uniform(0.05, 0.3, 3), float(rng.uniform(0.5, 1.0)), color,
         )
         for _ in range(200)
     ]
-    uniform = render(SplatScene(gaussians, sky), pose, CAM)
+    uniform = render(scene_from(gaussians, sky), pose, CAM)
     expected = uniform.opacity[..., None] * color + (1.0 - uniform.opacity[..., None]) * sky
     convexity_err = float(np.max(np.abs(uniform.rgb - expected)))
 

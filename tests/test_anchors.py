@@ -79,14 +79,14 @@ class TestGlobalDescriptor:
 class TestBuildAnchorDb:
     def test_even_spacing_subsampling(self, cam):
         """10 poses 1 m apart with 3 m spacing keep frames 0, 3, 6, 9."""
-        db = build_anchor_db(SplatScene([], SKY), straight_trajectory(10), cam, spacing=3.0)
+        db = build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(10), cam, spacing=3.0)
         assert [rec.source_index for rec in db.records] == [0, 3, 6, 9]
         assert [rec.anchor_id for rec in db.records] == [0, 1, 2, 3]
         assert db.spacing == 3.0
         assert db.camera == cam
 
     def test_first_pose_is_always_kept(self, cam):
-        db = build_anchor_db(SplatScene([], SKY), straight_trajectory(5), cam, spacing=2.5)
+        db = build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(5), cam, spacing=2.5)
         assert db.records[0].source_index == 0
 
     def test_session_db_layout(self, anchor_db):
@@ -118,22 +118,22 @@ class TestBuildAnchorDb:
 
     def test_nonpositive_spacing_raises(self, cam):
         with pytest.raises(ValueError, match="spacing"):
-            build_anchor_db(SplatScene([], SKY), straight_trajectory(5), cam, spacing=0.0)
+            build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(5), cam, spacing=0.0)
 
     def test_single_pose_raises(self, cam):
         with pytest.raises(TrajectoryTooShort):
-            build_anchor_db(SplatScene([], SKY), straight_trajectory(1), cam, spacing=3.0)
+            build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(1), cam, spacing=3.0)
 
     def test_short_span_raises(self, cam):
         """A 2 m trajectory cannot support 3 m anchor spacing."""
         with pytest.raises(TrajectoryTooShort, match="span"):
-            build_anchor_db(SplatScene([], SKY), straight_trajectory(3), cam, spacing=3.0)
+            build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(3), cam, spacing=3.0)
 
     def test_sparse_trajectory_raises(self, cam):
         """Consecutive anchors farther than 2 x spacing apart are rejected."""
         trajectory = straight_trajectory(2, step=7.0)
         with pytest.raises(ValueError, match="gap"):
-            build_anchor_db(SplatScene([], SKY), trajectory, cam, spacing=3.0)
+            build_anchor_db(SplatScene(sky_color=SKY), trajectory, cam, spacing=3.0)
 
 
 class TestRetrieve:

@@ -5,7 +5,6 @@ import pytest
 
 from splatreloc import (
     CameraIntrinsics,
-    Gaussian3D,
     ImageFormatError,
     Pose,
     SplatScene,
@@ -19,105 +18,114 @@ from splatreloc.geometry import quat_from_axis_angle, quat_to_matrix, random_uni
 from splatreloc.renderer import (
     COV2D_REGULARIZATION,
     DEPTH_VALID_OPACITY,
-    project_gaussian,
+    _project_arrays,
 )
+
+from conftest import scene_from
 
 
 def isotropic(mean, scale, opacity=0.8, color=(1.0, 1.0, 1.0)):
-    return Gaussian3D(
-        mean=np.asarray(mean, dtype=float),
-        rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-        scale=np.full(3, scale),
-        opacity=opacity,
-        color=np.asarray(color, dtype=float),
-    )
+    return (mean, [1.0, 0.0, 0.0, 0.0], np.full(3, scale), opacity, color)
 
 
-def scene_of(gaussians, sky=(0.0, 0.0, 0.0)):
-    return SplatScene(gaussians=list(gaussians), sky_color=np.asarray(sky, dtype=float))
+def take(scene, index):
+    """The scene's Gaussians at `index`, in that order, under the same sky."""
+    return SplatScene(*(a[index] for a in scene.arrays().values()), sky_color=scene.sky_color)
 
 
 def random_scene(rng, n=20, sky=(0.1, 0.2, 0.3)):
     gaussians = [
-        Gaussian3D(
-            mean=np.append(rng.uniform(-2, 2, 2), rng.uniform(3, 9)),
-            rotation=random_unit_quaternion(rng),
-            scale=rng.uniform(0.05, 0.4, 3),
-            opacity=float(rng.uniform(0.3, 1.0)),
-            color=rng.uniform(0, 1, 3),
+        (
+            np.append(rng.uniform(-2, 2, 2), rng.uniform(3, 9)),
+            random_unit_quaternion(rng),
+            rng.uniform(0.05, 0.4, 3),
+            float(rng.uniform(0.3, 1.0)),
+            rng.uniform(0, 1, 3),
         )
         for _ in range(n)
     ]
-    return scene_of(gaussians, sky=sky)
+    return scene_from(gaussians, sky=sky)
+
+
+def project(gaussian, pose, cam):
+    """(keep, mean2d, cov2d, depth) of one Gaussian; keep is False when culled."""
+    scene = scene_from([gaussian])
+    keep, mean2d, cov2d, depth, _ = _project_arrays(
+        scene.means, scene.quats, scene.scales, pose, cam
+    )
+    return bool(keep[0]), mean2d[0], cov2d[0], float(depth[0])
 
 
 # ===========================================================================
-# project_gaussian
+# _project_arrays, one Gaussian at a time
 # ===========================================================================
 
 
 class TestProjectGaussian:
     def test_on_axis_center_and_depth(self, cam):
-        proj = project_gaussian(isotropic([0, 0, 5], 0.1), Pose.identity(), cam)
-        assert proj is not None
-        np.testing.assert_allclose(proj.mean2d, [160.0, 120.0], atol=1e-9)
-        assert proj.depth == pytest.approx(5.0)
+        keep, mean2d, _, depth = project(isotropic([0, 0, 5], 0.1), Pose.identity(), cam)
+        assert keep
+        np.testing.assert_allclose(mean2d, [160.0, 120.0], atol=1e-9)
+        assert depth == pytest.approx(5.0)
 
     def test_on_axis_isotropic_covariance(self, cam):
         """Axis-aligned on-axis footprint is diag((fx*s/z)^2) plus the
         regularization floor."""
         s, z = 0.2, 4.0
-        proj = project_gaussian(isotropic([0, 0, z], s), Pose.identity(), cam)
+        _, _, cov2d, _ = project(isotropic([0, 0, z], s), Pose.identity(), cam)
         expected = (cam.fx * s / z) ** 2 + COV2D_REGULARIZATION
         np.testing.assert_allclose(
-            proj.cov2d, [[expected, 0.0], [0.0, expected]], atol=1e-9
+            cov2d, [[expected, 0.0], [0.0, expected]], atol=1e-9
         )
 
     def test_matches_direct_jacobian_chain(self, cam, rng):
         """Full perspective covariance chain recomputed independently."""
         for _ in range(10):
-            g = Gaussian3D(
-                mean=np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(3, 8)),
-                rotation=random_unit_quaternion(rng),
-                scale=rng.uniform(0.05, 0.3, 3),
-                opacity=0.5,
-                color=np.zeros(3),
+            g = (
+                np.append(rng.uniform(-1.5, 1.5, 2), rng.uniform(3, 8)),
+                random_unit_quaternion(rng),
+                rng.uniform(0.05, 0.3, 3),
+                0.5,
+                np.zeros(3),
             )
-            proj = project_gaussian(g, Pose.identity(), cam)
-            assert proj is not None
-            x, y, z = g.mean
+            keep, mean2d, cov2d, _ = project(g, Pose.identity(), cam)
+            assert keep
+            mean, quat, scale = g[0], g[1], g[2]
+            x, y, z = mean
             J = np.array(
                 [
                     [cam.fx / z, 0.0, -cam.fx * x / z**2],
                     [0.0, cam.fy / z, -cam.fy * y / z**2],
                 ]
             )
-            R = quat_to_matrix(g.rotation)
-            cov3d = R @ np.diag(g.scale**2) @ R.T
+            R = quat_to_matrix(quat)
+            cov3d = R @ np.diag(scale**2) @ R.T
             expected = J @ cov3d @ J.T + COV2D_REGULARIZATION * np.eye(2)
-            np.testing.assert_allclose(proj.cov2d, expected, atol=1e-9)
+            np.testing.assert_allclose(cov2d, expected, atol=1e-9)
             np.testing.assert_allclose(
-                proj.mean2d,
+                mean2d,
                 [cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy],
                 atol=1e-9,
             )
 
     def test_behind_camera_is_culled(self, cam):
-        assert project_gaussian(isotropic([0, 0, -5], 0.1), Pose.identity(), cam) is None
+        assert not project(isotropic([0, 0, -5], 0.1), Pose.identity(), cam)[0]
 
     def test_near_plane_culling(self, cam):
-        assert project_gaussian(isotropic([0, 0, 0.05], 0.01), Pose.identity(), cam) is None
+        assert not project(isotropic([0, 0, 0.05], 0.01), Pose.identity(), cam)[0]
 
     def test_far_off_screen_is_culled(self, cam):
-        assert project_gaussian(isotropic([50, 0, 5], 0.05), Pose.identity(), cam) is None
+        assert not project(isotropic([50, 0, 5], 0.05), Pose.identity(), cam)[0]
 
     def test_respects_camera_pose(self, cam):
         """Moving the camera back 5 m equals placing the point 5 m deeper."""
         pose = Pose(np.array([1.0, 0, 0, 0]), np.array([0.0, 0.0, -5.0]))
-        moved = project_gaussian(isotropic([0, 0, 5], 0.1), pose, cam)
-        direct = project_gaussian(isotropic([0, 0, 10], 0.1), Pose.identity(), cam)
-        np.testing.assert_allclose(moved.mean2d, direct.mean2d, atol=1e-9)
-        assert moved.depth == pytest.approx(direct.depth)
+        _, moved_mean2d, _, moved_depth = project(isotropic([0, 0, 5], 0.1), pose, cam)
+        _, direct_mean2d, _, direct_depth = project(
+            isotropic([0, 0, 10], 0.1), Pose.identity(), cam
+        )
+        np.testing.assert_allclose(moved_mean2d, direct_mean2d, atol=1e-9)
+        assert moved_depth == pytest.approx(direct_depth)
 
 
 # ===========================================================================
@@ -128,19 +136,19 @@ class TestProjectGaussian:
 class TestRenderIdentities:
     def test_empty_scene_is_sky_exactly(self, cam):
         sky = (0.25, 0.5, 0.75)
-        out = render(scene_of([], sky=sky), Pose.identity(), cam)
+        out = render(scene_from([], sky=sky), Pose.identity(), cam)
         assert np.all(out.rgb == np.array(sky))
         assert np.all(out.depth == 0.0)
         assert np.all(out.opacity == 0.0)
 
     def test_on_axis_peak_at_principal_pixel(self, cam):
-        out = render(scene_of([isotropic([0, 0, 5], 0.1)]), Pose.identity(), cam)
+        out = render(scene_from([isotropic([0, 0, 5], 0.1)]), Pose.identity(), cam)
         peak = np.unravel_index(np.argmax(out.opacity), out.opacity.shape)
         assert peak == (120, 160)
 
     def test_on_axis_depth_at_peak(self, cam):
         out = render(
-            scene_of([isotropic([0, 0, 5], 0.1, opacity=0.9)]), Pose.identity(), cam
+            scene_from([isotropic([0, 0, 5], 0.1, opacity=0.9)]), Pose.identity(), cam
         )
         assert out.depth[120, 160] == pytest.approx(5.0, abs=1e-2)
 
@@ -149,7 +157,7 @@ class TestRenderIdentities:
         covariance corrected for the 3-sigma elliptical cutoff."""
         s, z = 0.08, 5.0
         out = render(
-            scene_of([isotropic([0, 0, z], s, opacity=0.5)]), Pose.identity(), cam
+            scene_from([isotropic([0, 0, z], s, opacity=0.5)]), Pose.identity(), cam
         )
         w = out.opacity
         ys, xs = np.mgrid[0 : cam.height, 0 : cam.width]
@@ -172,14 +180,8 @@ class TestRenderIdentities:
 
     def test_anisotropic_footprint(self, cam):
         """Doubling one world axis quadruples that screen variance."""
-        g = Gaussian3D(
-            mean=np.array([0.0, 0.0, 5.0]),
-            rotation=np.array([1.0, 0.0, 0.0, 0.0]),
-            scale=np.array([0.16, 0.08, 0.08]),
-            opacity=0.5,
-            color=np.ones(3),
-        )
-        out = render(scene_of([g]), Pose.identity(), cam)
+        g = ([0.0, 0.0, 5.0], [1.0, 0.0, 0.0, 0.0], [0.16, 0.08, 0.08], 0.5, np.ones(3))
+        out = render(scene_from([g]), Pose.identity(), cam)
         w = out.opacity
         ys, xs = np.mgrid[0 : cam.height, 0 : cam.width]
         total = w.sum()
@@ -197,9 +199,9 @@ class TestRenderIdentities:
     def test_permutation_invariance_exact(self, cam, rng):
         scene = random_scene(rng, n=25)
         out_a = render(scene, Pose.identity(), cam)
-        shuffled = list(scene.gaussians)
-        rng.shuffle(shuffled)
-        out_b = render(scene_of(shuffled, sky=scene.sky_color), Pose.identity(), cam)
+        order = np.arange(len(scene))
+        rng.shuffle(order)
+        out_b = render(take(scene, order), Pose.identity(), cam)
         np.testing.assert_array_equal(out_a.rgb, out_b.rgb)
         np.testing.assert_array_equal(out_a.depth, out_b.depth)
         np.testing.assert_array_equal(out_a.opacity, out_b.opacity)
@@ -210,16 +212,16 @@ class TestRenderIdentities:
         color = np.array([0.8, 0.3, 0.1])
         sky = np.array([0.2, 0.6, 0.9])
         gaussians = [
-            Gaussian3D(
-                mean=np.append(rng.uniform(-2, 2, 2), rng.uniform(3, 9)),
-                rotation=random_unit_quaternion(rng),
-                scale=rng.uniform(0.05, 0.4, 3),
-                opacity=float(rng.uniform(0.3, 1.0)),
-                color=color,
+            (
+                np.append(rng.uniform(-2, 2, 2), rng.uniform(3, 9)),
+                random_unit_quaternion(rng),
+                rng.uniform(0.05, 0.4, 3),
+                float(rng.uniform(0.3, 1.0)),
+                color,
             )
             for _ in range(20)
         ]
-        out = render(scene_of(gaussians, sky=sky), Pose.identity(), cam)
+        out = render(scene_from(gaussians, sky=sky), Pose.identity(), cam)
         expected = out.opacity[:, :, None] * color + (1 - out.opacity[:, :, None]) * sky
         np.testing.assert_allclose(out.rgb, expected, atol=1e-6)
 
@@ -231,15 +233,13 @@ class TestRenderIdentities:
 
     def test_opacity_grows_with_more_gaussians(self, cam, rng):
         scene = random_scene(rng, n=20)
-        prefix = render(
-            scene_of(scene.gaussians[:10], sky=scene.sky_color), Pose.identity(), cam
-        )
+        prefix = render(take(scene, np.arange(10)), Pose.identity(), cam)
         full = render(scene, Pose.identity(), cam)
         assert np.all(full.opacity >= prefix.opacity - 1e-9)
 
     def test_depth_zero_where_opacity_low(self, cam):
         out = render(
-            scene_of([isotropic([0, 0, 5], 0.1, opacity=0.9)]), Pose.identity(), cam
+            scene_from([isotropic([0, 0, 5], 0.1, opacity=0.9)]), Pose.identity(), cam
         )
         low = out.opacity < DEPTH_VALID_OPACITY
         assert np.all(out.depth[low] == 0.0)
@@ -249,7 +249,7 @@ class TestRenderIdentities:
         """Alpha 1 at the exact center pixel blocks the sky completely."""
         color = (0.3, 0.9, 0.6)
         out = render(
-            scene_of([isotropic([0, 0, 5], 0.2, opacity=1.0, color=color)], sky=(1, 1, 1)),
+            scene_from([isotropic([0, 0, 5], 0.2, opacity=1.0, color=color)], sky=(1, 1, 1)),
             Pose.identity(),
             cam,
         )
@@ -260,7 +260,7 @@ class TestRenderIdentities:
         """An opaque near gaussian hides a far one along the same ray."""
         near = isotropic([0, 0, 4], 0.15, opacity=1.0, color=(1, 0, 0))
         far = isotropic([0, 0, 8], 0.3, opacity=1.0, color=(0, 1, 0))
-        out = render(scene_of([far, near]), Pose.identity(), cam)
+        out = render(scene_from([far, near]), Pose.identity(), cam)
         np.testing.assert_allclose(out.rgb[120, 160], [1.0, 0.0, 0.0], atol=1e-12)
         assert out.depth[120, 160] == pytest.approx(4.0, abs=1e-6)
 
@@ -268,8 +268,8 @@ class TestRenderIdentities:
         cam1 = CameraIntrinsics(fx=250, fy=250, cx=160, cy=120, width=320, height=240)
         cam2 = CameraIntrinsics(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
         g = isotropic([0.4, -0.2, 5], 0.1, opacity=0.9)
-        out1 = render(scene_of([g]), Pose.identity(), cam1)
-        out2 = render(scene_of([g]), Pose.identity(), cam2)
+        out1 = render(scene_from([g]), Pose.identity(), cam1)
+        out2 = render(scene_from([g]), Pose.identity(), cam2)
         p1 = np.unravel_index(np.argmax(out1.opacity), out1.opacity.shape)
         p2 = np.unravel_index(np.argmax(out2.opacity), out2.opacity.shape)
         assert abs(p2[0] - 2 * p1[0]) <= 1
@@ -278,14 +278,28 @@ class TestRenderIdentities:
     def test_rotated_camera_sees_side_point(self, cam):
         """A point on +x appears at the image center after yawing 90 degrees."""
         pose = Pose(quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2), np.zeros(3))
-        out = render(scene_of([isotropic([5, 0, 0], 0.1, opacity=0.9)]), pose, cam)
+        out = render(scene_from([isotropic([5, 0, 0], 0.1, opacity=0.9)]), pose, cam)
         peak = np.unravel_index(np.argmax(out.opacity), out.opacity.shape)
         assert peak == (120, 160)
+
+    def test_recoloured_scene_renders_new_color(self, cam):
+        """A scene rebuilt with its first Gaussian recoloured renders the new
+        color: rendering reads the scene's own arrays, never a stale copy."""
+        red = scene_from([isotropic([0, 0, 5], 0.2, opacity=1.0, color=(1, 0, 0))])
+        np.testing.assert_allclose(
+            render(red, Pose.identity(), cam).rgb[120, 160], [1.0, 0.0, 0.0], atol=1e-12
+        )
+        colors = red.colors.copy()
+        colors[0] = [0.0, 0.0, 1.0]
+        blue = SplatScene(red.means, red.quats, red.scales, red.opacities, colors)
+        np.testing.assert_allclose(
+            render(blue, Pose.identity(), cam).rgb[120, 160], [0.0, 0.0, 1.0], atol=1e-12
+        )
 
     def test_behind_camera_scene_renders_sky(self, cam):
         sky = (0.4, 0.4, 0.4)
         out = render(
-            scene_of([isotropic([0, 0, -3, ], 0.2)], sky=sky), Pose.identity(), cam
+            scene_from([isotropic([0, 0, -3, ], 0.2)], sky=sky), Pose.identity(), cam
         )
         assert np.all(out.rgb == np.array(sky))
         assert np.all(out.opacity == 0.0)
