@@ -16,6 +16,17 @@ and finishes with sky blending rgb = C + (1 - O) * sky.  The depth channel is
 the alpha-weighted mean of the contributing Gaussians' center depths,
 normalized by accumulated opacity, and is only marked valid where the
 accumulated opacity reaches 0.5 (zero elsewhere, meaning "sky").
+
+Each Gaussian is evaluated only on its tight box, |dx| <= 3 sqrt(a) + 1 and
+|dy| <= 3 sqrt(c) + 1 for covariance [[a, b], [b, c]], inside the square box
+of its larger eigenvalue; every pixel outside it has Mahalanobis distance
+above 3 sigma, so it would receive exactly zero.  A Gaussian is skipped when
+every pixel of its *square* box has transmittance below the floor.  The test
+stays on the square box: a Gaussian whose tight box is dead but whose square
+box is not still adds tiny amounts to those dead pixels, and skipping it
+would change the output bits.  One planar (5, H, W) accumulator
+holds r, g, b, opacity and the depth sum, so each Gaussian adds its weight
+times (r, g, b, 1, z) in one operation.
 """
 
 from __future__ import annotations
@@ -38,6 +49,8 @@ EXTENT_SIGMA = 3.0
 TRANSMITTANCE_FLOOR = 1e-4
 #: Accumulated opacity needed before the depth channel counts as valid.
 DEPTH_VALID_OPACITY = 0.5
+#: Gaussians whose per-Gaussian values become Python scalars at a time.
+_SCALAR_CHUNK = 512
 
 
 @dataclass
@@ -128,9 +141,10 @@ def _project_arrays(
 def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput:
     """Rasterize the scene from `pose` into RGB, depth, and opacity images."""
     H, W = cam.height, cam.width
-    rgb = np.zeros((H, W, 3))
-    opacity = np.zeros((H, W))
-    depth_sum = np.zeros((H, W))
+    # Planes r, g, b, opacity and depth_sum, each Gaussian adding weight times
+    # its feature row (r, g, b, 1, z): weight * 1.0 and weight * z are the bits
+    # of separate opacity and depth accumulators.
+    acc = np.zeros((5, H, W))
     trans = np.ones((H, W))
 
     keep, mean2d, cov2d, z, radius = _project_arrays(
@@ -144,47 +158,60 @@ def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput
         order = np.lexsort((m[:, 0], m[:, 1], m[:, 2], z[idx]))
         idx = idx[order]
 
-        opac = scene.opacities
-        colors = scene.colors
-        cutoff_q = EXTENT_SIGMA**2
-        for i in idx:
-            cx, cy = mean2d[i]
-            r = radius[i]
-            x0 = max(int(np.floor(cx - r)), 0)
-            x1 = min(int(np.ceil(cx + r)) + 1, W)
-            y0 = max(int(np.floor(cy - r)), 0)
-            y1 = min(int(np.ceil(cy + r)) + 1, H)
-            if x0 >= x1 or y0 >= y1:
+    cutoff_q = EXTENT_SIGMA**2
+    for start in range(0, idx.size, _SCALAR_CHUNK):
+        rows = idx[start : start + _SCALAR_CHUNK]
+        cx, cy, r = mean2d[rows, 0], mean2d[rows, 1], radius[rows]
+        a, b, c = cov2d[rows, 0, 0], cov2d[rows, 0, 1], cov2d[rows, 1, 1]
+        det = a * c - b * b
+        # Square 3-sigma box of the larger eigenvalue, clipped to the image.
+        x0 = np.clip(np.floor(cx - r), 0, W)
+        x1 = np.clip(np.ceil(cx + r) + 1, 0, W)
+        y0 = np.clip(np.floor(cy - r), 0, H)
+        y1 = np.clip(np.ceil(cy + r) + 1, 0, H)
+        # Tight box: the minimum of q over dy is dx^2 / a (over dx, dy^2 / c),
+        # so a pixel with |dx| > 3 sqrt(a) or |dy| > 3 sqrt(c) has q > 9 and
+        # g = 0; skipping it changes no bit.  The 1 px margin covers rounding.
+        rx = EXTENT_SIGMA * np.sqrt(a) + 1.0
+        ry = EXTENT_SIGMA * np.sqrt(c) + 1.0
+        tx0 = np.maximum(np.floor(cx - rx), x0)
+        tx1 = np.minimum(np.ceil(cx + rx) + 1, x1)
+        ty0 = np.maximum(np.floor(cy - ry), y0)
+        ty1 = np.minimum(np.ceil(cy + ry) + 1, y1)
+        live = (tx0 < tx1) & (ty0 < ty1) & (det > 0.0)
+        boxes = np.stack([x0, x1, y0, y1, tx0, tx1, ty0, ty1])[:, live].astype(np.int64)
+        conics = np.stack([cx, cy, a, 2.0 * b, c, det, scene.opacities[rows]])[:, live]
+        feats = np.column_stack([scene.colors[rows], np.ones(rows.size), z[rows]])[live]
+        for (x0, x1, y0, y1, tx0, tx1, ty0, ty1), (cx, cy, a, b2, c, det, o), f in zip(
+            boxes.T.tolist(), conics.T.tolist(), feats
+        ):
+            # Skip test on the square box, not the tight one (module docstring).
+            if trans[y0:y1, x0:x1].max() < TRANSMITTANCE_FLOOR:
                 continue
-            T_patch = trans[y0:y1, x0:x1]
-            if T_patch.max() < TRANSMITTANCE_FLOOR:
-                continue
+            dx = np.arange(tx0, tx1) - cx
+            dy = np.arange(ty0, ty1) - cy
+            # Mahalanobis distance via the inverse covariance (c, -b, a)/det,
+            # as (c dx^2 - (2b dy) dx) + a dy^2, then / det.
+            q = np.multiply.outer(b2 * dy, dx)
+            np.subtract(c * dx**2, q, out=q)
+            q += (a * dy**2)[:, None]
+            q /= det
+            alpha = np.multiply(q, -0.5)
+            np.exp(alpha, out=alpha)
+            alpha[q > cutoff_q] = 0.0
+            alpha *= o
+            T_patch = trans[ty0:ty1, tx0:tx1]
+            acc[:, ty0:ty1, tx0:tx1] += (alpha * T_patch) * f[:, None, None]
+            np.subtract(1.0, alpha, out=alpha)
+            T_patch *= alpha
 
-            a, b, c = cov2d[i, 0, 0], cov2d[i, 0, 1], cov2d[i, 1, 1]
-            det = a * c - b * b
-            if det <= 0.0:
-                continue
-            dx = np.arange(x0, x1) - cx
-            dy = np.arange(y0, y1) - cy
-            # Mahalanobis distance via the inverse covariance (c, -b, a)/det.
-            q = (
-                c * dx[None, :] ** 2
-                - 2.0 * b * dy[:, None] * dx[None, :]
-                + a * dy[:, None] ** 2
-            ) / det
-            g = np.where(q <= cutoff_q, np.exp(-0.5 * q), 0.0)
-            alpha = opac[i] * g
-            weight = alpha * T_patch
-            rgb[y0:y1, x0:x1] += weight[:, :, None] * colors[i]
-            opacity[y0:y1, x0:x1] += weight
-            depth_sum[y0:y1, x0:x1] += weight * z[i]
-            T_patch *= 1.0 - alpha
-
-    rgb += (1.0 - opacity[:, :, None]) * scene.sky_color
-    valid = opacity >= DEPTH_VALID_OPACITY
+    opacity = acc[3].copy()
+    acc[:3] += (1.0 - opacity) * scene.sky_color[:, None, None]
+    rgb = np.empty((H, W, 3))
+    np.clip(acc[:3], 0.0, 1.0, out=np.moveaxis(rgb, 2, 0))
     depth = np.zeros((H, W))
-    np.divide(depth_sum, opacity, out=depth, where=valid)
-    return RenderOutput(rgb=np.clip(rgb, 0.0, 1.0), depth=depth, opacity=opacity)
+    np.divide(acc[4], opacity, out=depth, where=opacity >= DEPTH_VALID_OPACITY)
+    return RenderOutput(rgb=rgb, depth=depth, opacity=opacity)
 
 
 def save_ppm(path: str | Path, image: np.ndarray) -> None:
@@ -221,6 +248,8 @@ def load_ppm(path: str | Path) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise ImageFormatError(f"{path}: malformed PPM header") from None
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"{path}: bad PPM dimensions ({width}x{height})")
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 is supported")
     pos += 1  # single whitespace after maxval

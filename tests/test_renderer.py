@@ -8,6 +8,8 @@ from splatreloc import (
     ImageFormatError,
     Pose,
     SplatScene,
+    SyntheticSceneConfig,
+    generate_synthetic_scene,
     load_depth,
     load_ppm,
     render,
@@ -18,6 +20,9 @@ from splatreloc.geometry import quat_from_axis_angle, quat_to_matrix, random_uni
 from splatreloc.renderer import (
     COV2D_REGULARIZATION,
     DEPTH_VALID_OPACITY,
+    EXTENT_SIGMA,
+    TRANSMITTANCE_FLOOR,
+    RenderOutput,
     _project_arrays,
 )
 
@@ -54,6 +59,70 @@ def project(gaussian, pose, cam):
         scene.means, scene.quats, scene.scales, pose, cam
     )
     return bool(keep[0]), mean2d[0], cov2d[0], float(depth[0])
+
+
+def reference_render(scene, pose, cam) -> RenderOutput:
+    """The one-Gaussian-at-a-time compositing loop, kept as the reference for
+    ``render``: square 3-sigma boxes, separate rgb/opacity/depth accumulators
+    and a fresh array for every step."""
+    H, W = cam.height, cam.width
+    rgb = np.zeros((H, W, 3))
+    opacity = np.zeros((H, W))
+    depth_sum = np.zeros((H, W))
+    trans = np.ones((H, W))
+
+    keep, mean2d, cov2d, z, radius = _project_arrays(
+        scene.means, scene.quats, scene.scales, pose, cam
+    )
+    idx = np.flatnonzero(keep)
+    if idx.size:
+        # Front-to-back order with a content-based tie break so the output is
+        # independent of the order Gaussians appear in the scene arrays.
+        m = scene.means[idx]
+        order = np.lexsort((m[:, 0], m[:, 1], m[:, 2], z[idx]))
+        idx = idx[order]
+
+        opac = scene.opacities
+        colors = scene.colors
+        cutoff_q = EXTENT_SIGMA**2
+        for i in idx:
+            cx, cy = mean2d[i]
+            r = radius[i]
+            x0 = max(int(np.floor(cx - r)), 0)
+            x1 = min(int(np.ceil(cx + r)) + 1, W)
+            y0 = max(int(np.floor(cy - r)), 0)
+            y1 = min(int(np.ceil(cy + r)) + 1, H)
+            if x0 >= x1 or y0 >= y1:
+                continue
+            T_patch = trans[y0:y1, x0:x1]
+            if T_patch.max() < TRANSMITTANCE_FLOOR:
+                continue
+
+            a, b, c = cov2d[i, 0, 0], cov2d[i, 0, 1], cov2d[i, 1, 1]
+            det = a * c - b * b
+            if det <= 0.0:
+                continue
+            dx = np.arange(x0, x1) - cx
+            dy = np.arange(y0, y1) - cy
+            # Mahalanobis distance via the inverse covariance (c, -b, a)/det.
+            q = (
+                c * dx[None, :] ** 2
+                - 2.0 * b * dy[:, None] * dx[None, :]
+                + a * dy[:, None] ** 2
+            ) / det
+            g = np.where(q <= cutoff_q, np.exp(-0.5 * q), 0.0)
+            alpha = opac[i] * g
+            weight = alpha * T_patch
+            rgb[y0:y1, x0:x1] += weight[:, :, None] * colors[i]
+            opacity[y0:y1, x0:x1] += weight
+            depth_sum[y0:y1, x0:x1] += weight * z[i]
+            T_patch *= 1.0 - alpha
+
+    rgb += (1.0 - opacity[:, :, None]) * scene.sky_color
+    valid = opacity >= DEPTH_VALID_OPACITY
+    depth = np.zeros((H, W))
+    np.divide(depth_sum, opacity, out=depth, where=valid)
+    return RenderOutput(rgb=np.clip(rgb, 0.0, 1.0), depth=depth, opacity=opacity)
 
 
 # ===========================================================================
@@ -306,6 +375,105 @@ class TestRenderIdentities:
 
 
 # ===========================================================================
+# render against the reference loop, byte for byte
+# ===========================================================================
+
+
+def anisotropic_scene():
+    """Thin rotated needles and flat discs: tight boxes far inside square ones."""
+    rows = []
+    for k, angle in enumerate(np.linspace(0.0, np.pi, 9)):
+        quat = quat_from_axis_angle(np.array([0.3, 0.2, 1.0]), angle)
+        mean = [-1.6 + 0.4 * k, 0.5 * np.sin(k), 5.0 + 0.3 * k]
+        rows.append((mean, quat, [0.9, 0.01, 0.02], 0.9, (1.0, 0.2 * (k % 5), 0.3)))
+        rows.append((mean, quat[[0, 3, 1, 2]], [0.01, 0.5, 0.004], 0.7, (0.1, 0.8, 0.5)))
+    return scene_from(rows, sky=(0.3, 0.4, 0.5))
+
+
+def border_scene(cam):
+    """Gaussians centered on, just inside and just outside every edge and corner."""
+    z = 5.0
+    rows = []
+    W, H = cam.width, cam.height
+    for u in (-6.0, -0.5, 0.0, 3.2, W / 2, W - 2.7, W - 1, W + 5):
+        for v in (-6.0, -0.5, 0.0, 2.9, H / 2, H - 3.1, H - 1, H + 5):
+            mean = [(u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy, z]
+            color = (u / W % 1, 0.5, v / H % 1)
+            rows.append((mean, [0.9, 0.1, -0.3, 0.2], [0.12, 0.05, 0.08], 0.8, color))
+    return scene_from(rows, sky=(0.9, 0.9, 0.2))
+
+
+def wall_scene(rng):
+    """An opaque wall in front of random Gaussians: most pixels die early, so
+    the skip test decides which later Gaussians composite at all."""
+    rows = [
+        ([x, y, 3.0], [1.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.05], 1.0, (0.6, 0.6, 0.6))
+        for x in np.arange(-2.4, 2.5, 0.08)
+        for y in np.arange(-1.8, 1.9, 0.08)
+    ]
+    rows += [
+        (
+            np.append(rng.uniform(-2, 2, 2), rng.uniform(3.5, 9)),
+            random_unit_quaternion(rng),
+            rng.uniform(0.05, 0.6, 3),
+            float(rng.uniform(0.3, 1.0)),
+            rng.uniform(0, 1, 3),
+        )
+        for _ in range(60)
+    ]
+    return scene_from(rows, sky=(0.0, 0.0, 1.0))
+
+
+def sub_pixel_scene():
+    """Gaussians far smaller than a pixel, at and between pixel centres."""
+    rows = [
+        ([0.0, 0.0, 5.0], [1.0, 0.0, 0.0, 0.0], np.full(3, 1e-4), 0.95, (1.0, 0.0, 0.0)),
+        ([0.011, -0.007, 4.0], [0.5, 0.5, 0.5, 0.5], [2e-4, 1e-5, 3e-4], 0.6, (0.0, 1.0, 0.0)),
+    ]
+    return scene_from(rows, sky=(0.2, 0.2, 0.2))
+
+
+def assert_renders_like_reference(scene, pose, cam):
+    out = render(scene, pose, cam)
+    expected = reference_render(scene, pose, cam)
+    images = (out.rgb, out.depth, out.opacity)
+    for image, ref in zip(images, (expected.rgb, expected.depth, expected.opacity)):
+        assert image.dtype == np.float64 and image.flags.c_contiguous
+        # A view would keep the whole buffer it points into alive.
+        assert image.flags.owndata
+        assert image.shape == ref.shape
+        assert image.tobytes() == ref.tobytes()
+    for k, image in enumerate(images):
+        for other in images[k + 1 :]:
+            assert not np.shares_memory(image, other)
+    return out
+
+
+class TestRenderMatchesReference:
+    def test_rotated_anisotropic(self, cam):
+        out = assert_renders_like_reference(anisotropic_scene(), Pose.identity(), cam)
+        assert out.opacity.max() > 0.5
+
+    def test_clipped_at_every_border(self, cam):
+        out = assert_renders_like_reference(border_scene(cam), Pose.identity(), cam)
+        for edge in (out.opacity[0], out.opacity[-1], out.opacity[:, 0], out.opacity[:, -1]):
+            assert edge.max() > 0.1
+
+    def test_opaque_wall_with_gaussians_behind(self, cam, rng):
+        out = assert_renders_like_reference(wall_scene(rng), Pose.identity(), cam)
+        assert np.mean(out.opacity > 1.0 - TRANSMITTANCE_FLOOR) > 0.5
+
+    def test_sub_pixel(self, cam):
+        out = assert_renders_like_reference(sub_pixel_scene(), Pose.identity(), cam)
+        assert out.opacity[120, 160] > 0.5
+
+    def test_synthetic_scene_at_trajectory_poses(self, cam):
+        scene, trajectory = generate_synthetic_scene(3, SyntheticSceneConfig(n_gaussians=4000))
+        for pose in (trajectory.poses[0], trajectory.poses[len(trajectory.poses) // 2]):
+            assert_renders_like_reference(scene, pose, cam)
+
+
+# ===========================================================================
 # Image I/O
 # ===========================================================================
 
@@ -357,6 +525,13 @@ class TestPpmIO:
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
         with pytest.raises(ImageFormatError):
+            load_ppm(path)
+
+    @pytest.mark.parametrize("size", [b"0 5", b"5 0", b"0 0", b"-2 5", b"5 -2", b"-2 -3"])
+    def test_non_positive_dimensions_raise(self, tmp_path, size):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(30))
+        with pytest.raises(ImageFormatError, match="bad PPM dimensions"):
             load_ppm(path)
 
 
