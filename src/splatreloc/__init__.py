@@ -33,9 +33,9 @@ from .evaluation import (
 )
 from .features import (
     DetectorConfig,
-    FeatureMatch,
-    Keypoint,
+    Keypoints,
     MatcherConfig,
+    Matches,
     MatchStats,
     OracleConfig,
     detect_and_describe,
@@ -97,83 +97,3 @@ from .scene import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnchorDatabase",
-    "AnchorRecord",
-    "AteStats",
-    "BundleAdjustConfig",
-    "CameraIntrinsics",
-    "CheiralityViolation",
-    "Correspondences",
-    "DEFAULT_CAMERA",
-    "DegenerateGeometry",
-    "DetectorConfig",
-    "ExternalMatcher",
-    "FeatureMatch",
-    "ImageFormatError",
-    "InsufficientMatches",
-    "IterationTrace",
-    "Keypoint",
-    "MatchFileError",
-    "MatchOutcome",
-    "MatchStats",
-    "MatcherConfig",
-    "NoConsensus",
-    "OracleConfig",
-    "OracleMatcher",
-    "Pose",
-    "PoseFileError",
-    "RansacConfig",
-    "ReferenceMatcher",
-    "RelocalizationResult",
-    "RelocalizeConfig",
-    "RenderOutput",
-    "SolverReport",
-    "SplatFormatError",
-    "SplatRelocError",
-    "SplatScene",
-    "SyntheticSceneConfig",
-    "TimingReport",
-    "Trajectory",
-    "TrajectoryTooShort",
-    "apply_delta",
-    "ate_statistics",
-    "build_anchor_db",
-    "detect_and_describe",
-    "epnp",
-    "error_histogram",
-    "generate_synthetic_scene",
-    "global_descriptor",
-    "lift_to_3d",
-    "load_anchor_db",
-    "load_depth",
-    "load_matches",
-    "load_ppm",
-    "load_splat_scene",
-    "load_trajectory",
-    "look_at",
-    "match_features",
-    "match_stats",
-    "oracle_match",
-    "pose_delta",
-    "pose_errors",
-    "recall_at",
-    "refine_ba",
-    "relocalize",
-    "render",
-    "reprojection_residuals",
-    "retrieve",
-    "save_anchor_db",
-    "save_depth",
-    "save_matches",
-    "save_ppm",
-    "save_result",
-    "save_result_timings",
-    "save_splat_scene",
-    "save_trajectory",
-    "solve_pnp",
-    "timing_report",
-    "umeyama_align",
-    "write_ate_csv",
-]

@@ -19,7 +19,7 @@ Match-exchange file format (ASCII):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,32 +32,80 @@ MIN_IMAGE_DIM = 32
 DESCRIPTOR_DIM = 128
 
 
+def _rows(values, name: str, width: int = 0) -> np.ndarray:
+    """``values`` as float64 of shape (n, width), or (n,) when width is 0."""
+    array = np.asarray(values, dtype=np.float64)
+    trailing = (width,) if width else ()
+    if array.ndim != 1 + len(trailing) or array.shape[1:] != trailing:
+        raise ValueError(f"{name} must have shape {('n', *trailing)}, got {array.shape}")
+    return array
+
+
+def _check_rows(**arrays: np.ndarray) -> None:
+    """Raise unless every array has the same number of rows."""
+    if len({a.shape[0] for a in arrays.values()}) > 1:
+        counts = ", ".join(f"{a.shape[0]} {name}" for name, a in arrays.items())
+        raise ValueError(f"row counts differ: {counts}")
+
+
 @dataclass(frozen=True)
-class Keypoint:
-    """A detected interest point with detection scale and strength."""
+class Keypoints:
+    """Detected interest points, one row per keypoint."""
 
-    position: np.ndarray  # (2,) sub-pixel (u, v)
-    scale: float  # blur sigma at which the corner was found
-    score: float  # normalized response in [0, 1]
-
-
-@dataclass(frozen=True)
-class FeatureMatch:
-    """One query-to-reference pixel correspondence."""
-
-    pixel_query: np.ndarray  # (2,) in the query image
-    pixel_ref: np.ndarray  # (2,) in the reference (rendered) image
-    confidence: float  # in [0, 1]
+    positions: np.ndarray  # (n, 2) sub-pixel (u, v)
+    scales: np.ndarray  # (n,) blur sigma at which each corner was found
+    scores: np.ndarray  # (n,) normalized response in [0, 1]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "pixel_query", np.asarray(self.pixel_query, dtype=np.float64).reshape(2)
-        )
-        object.__setattr__(
-            self, "pixel_ref", np.asarray(self.pixel_ref, dtype=np.float64).reshape(2)
-        )
-        if not 0.0 <= self.confidence <= 1.0:
+        positions = _rows(self.positions, "positions", 2)
+        scales = _rows(self.scales, "scales")
+        scores = _rows(self.scores, "scores")
+        _check_rows(positions=positions, scales=scales, scores=scores)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "scores", scores)
+
+    @classmethod
+    def empty(cls) -> Keypoints:
+        return cls(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+
+    def __len__(self) -> int:
+        return self.positions.shape[0]
+
+    def __getitem__(self, index) -> Keypoints:
+        """The keypoints selected by a slice, an index array or a boolean mask."""
+        return Keypoints(self.positions[index], self.scales[index], self.scores[index])
+
+
+@dataclass(frozen=True)
+class Matches:
+    """Query-to-reference pixel correspondences, one row per match."""
+
+    query: np.ndarray  # (n, 2) pixels in the query image
+    ref: np.ndarray  # (n, 2) pixels in the reference (rendered) image
+    confidence: np.ndarray  # (n,) in [0, 1]
+
+    def __post_init__(self) -> None:
+        query = _rows(self.query, "query", 2)
+        ref = _rows(self.ref, "ref", 2)
+        confidence = _rows(self.confidence, "confidence")
+        _check_rows(query=query, ref=ref, confidence=confidence)
+        if not np.all((confidence >= 0.0) & (confidence <= 1.0)):
             raise ValueError("match confidence must lie in [0, 1]")
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "ref", ref)
+        object.__setattr__(self, "confidence", confidence)
+
+    @classmethod
+    def empty(cls) -> Matches:
+        return cls(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+
+    def __len__(self) -> int:
+        return self.query.shape[0]
+
+    def __getitem__(self, index) -> Matches:
+        """The matches selected by a slice, an index array or a boolean mask."""
+        return Matches(self.query[index], self.ref[index], self.confidence[index])
 
 
 @dataclass(frozen=True)
@@ -77,7 +125,6 @@ class MatcherConfig:
     """Knobs for descriptor matching."""
 
     ratio: float = 0.8
-    mutual: bool = True
 
 
 def to_grayscale(image: np.ndarray) -> np.ndarray:
@@ -167,11 +214,11 @@ def _describe(
 
 def detect_and_describe(
     image: np.ndarray, config: DetectorConfig | None = None
-) -> tuple[list[Keypoint], np.ndarray]:
+) -> tuple[Keypoints, np.ndarray]:
     """Detect Harris keypoints and compute their descriptors.
 
     Returns keypoints sorted by descending score (ties broken by position)
-    and an (N, 128) descriptor array aligned with the keypoint list.
+    and an (N, 128) descriptor array aligned with the keypoint rows.
     """
     config = config or DetectorConfig()
     gray = to_grayscale(image)
@@ -188,7 +235,7 @@ def detect_and_describe(
         responses[sigma] = resp
         global_max = max(global_max, float(resp.max(initial=0.0)))
     if global_max <= config.abs_threshold:
-        return [], np.zeros((0, DESCRIPTOR_DIM))
+        return Keypoints.empty(), np.zeros((0, DESCRIPTOR_DIM))
 
     threshold = max(config.abs_threshold, config.rel_threshold * global_max)
     for sigma in config.scales:
@@ -239,7 +286,8 @@ def detect_and_describe(
     for sigma in config.scales:
         gy, gx = np.gradient(gaussian_filter(gray, sigma, mode="nearest"))
         gradients[sigma] = (gx, gy)
-    keypoints: list[Keypoint] = []
+    rows: list[np.ndarray] = []  # (u, v, sigma)
+    scores: list[float] = []
     descriptors: list[np.ndarray] = []
     for score, packed in kept:
         uv, sigma = packed[:2], float(packed[2])
@@ -247,33 +295,34 @@ def detect_and_describe(
         desc = _describe(gx, gy, uv, sigma)
         if desc is None:
             continue
-        keypoints.append(Keypoint(position=uv, scale=sigma, score=score))
+        rows.append(packed)
+        scores.append(score)
         descriptors.append(desc)
-        if len(keypoints) >= config.max_keypoints:
+        if len(rows) >= config.max_keypoints:
             break
-    if not keypoints:
-        return [], np.zeros((0, DESCRIPTOR_DIM))
-    return keypoints, np.array(descriptors)
+    table = np.reshape(rows, (-1, 3))
+    keypoints = Keypoints(positions=table[:, :2], scales=table[:, 2], scores=scores)
+    return keypoints, np.reshape(descriptors, (-1, DESCRIPTOR_DIM))
 
 
 def match_features(
-    keypoints_a: list[Keypoint],
+    keypoints_a: Keypoints,
     descriptors_a: np.ndarray,
-    keypoints_b: list[Keypoint],
+    keypoints_b: Keypoints,
     descriptors_b: np.ndarray,
     config: MatcherConfig | None = None,
-) -> list[FeatureMatch]:
+) -> Matches:
     """Mutual nearest-neighbor matching with a two-sided ratio test.
 
-    Side ``a`` is the query image, side ``b`` the reference.  Each keypoint
-    appears in at most one match.  Confidence is 1 minus the worse of the two
-    directions' ratio, clamped to [0, 1], so the result is symmetric in its
-    arguments (up to swapping pixel roles).
+    Side ``a`` is the query image, side ``b`` the reference.  Mutual nearest
+    neighbors pair each keypoint with at most one other.  Confidence is 1
+    minus the worse of the two directions' ratio, clamped to [0, 1], so the
+    result is symmetric in its arguments (up to swapping pixel roles).
+    Matches come ordered by descriptor distance, then by query keypoint.
     """
     config = config or MatcherConfig()
-    na, nb = len(keypoints_a), len(keypoints_b)
-    if na == 0 or nb == 0:
-        return []
+    if len(keypoints_a) == 0 or len(keypoints_b) == 0:
+        return Matches.empty()
 
     # Squared euclidean distances via the unit-norm descriptor dot products.
     dots = descriptors_a @ descriptors_b.T
@@ -281,48 +330,31 @@ def match_features(
 
     nn_ab = np.argmin(d2, axis=1)
     nn_ba = np.argmin(d2, axis=0)
+    ia = np.flatnonzero(nn_ba[nn_ab] == np.arange(len(keypoints_a)))
+    ib = nn_ab[ia]
 
-    def ratio_along(dist_row: np.ndarray, best_idx: int) -> float:
-        if dist_row.size < 2:
-            return 0.0
-        best = np.sqrt(dist_row[best_idx])
-        rest = np.delete(dist_row, best_idx)
-        second = np.sqrt(rest.min())
-        if second < 1e-12:
-            return 1.0
-        return float(best / second)
+    # Best / second-best distance along the pair's row and along its column.
+    # The pair is the minimum of both, so the second best is each one's
+    # second-smallest value; with no second candidate the ratio is 0.
+    best = np.sqrt(d2[ia, ib])
+    ratios = []
+    for dist in (d2[ia], d2[:, ib].T):
+        ratio = np.zeros(len(ia))
+        if dist.shape[1] >= 2:
+            second = np.sqrt(np.partition(dist, 1, axis=1)[:, 1])
+            ratio = np.divide(best, second, out=np.ones(len(ia)), where=second >= 1e-12)
+        ratios.append(ratio)
+    worst = np.maximum(*ratios)
 
-    candidates = []
-    for ia in range(na):
-        ib = int(nn_ab[ia])
-        if config.mutual and int(nn_ba[ib]) != ia:
-            continue
-        ratio_a = ratio_along(d2[ia, :], ib)
-        ratio_b = ratio_along(d2[:, ib], ia)
-        worst = max(ratio_a, ratio_b)
-        if worst > config.ratio:
-            continue
-        confidence = float(np.clip(1.0 - worst, 0.0, 1.0))
-        candidates.append((float(d2[ia, ib]), ia, ib, confidence))
-
-    # Enforce one-to-one greedily, best (smallest) distance first.
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    matches = []
-    for _, ia, ib, confidence in candidates:
-        if ia in used_a or ib in used_b:
-            continue
-        used_a.add(ia)
-        used_b.add(ib)
-        matches.append(
-            FeatureMatch(
-                pixel_query=keypoints_a[ia].position,
-                pixel_ref=keypoints_b[ib].position,
-                confidence=confidence,
-            )
-        )
-    return matches
+    keep = worst <= config.ratio
+    ia, ib, worst = ia[keep], ib[keep], worst[keep]
+    order = np.lexsort((ia, d2[ia, ib]))
+    ia, ib, worst = ia[order], ib[order], worst[order]
+    return Matches(
+        query=keypoints_a.positions[ia],
+        ref=keypoints_b.positions[ib],
+        confidence=np.clip(1.0 - worst, 0.0, 1.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -334,12 +366,11 @@ class MatchStats:
     uniformity: float  # 8x8 occupancy entropy / log(64), in [0, 1]
 
 
-def match_stats(matches: list[FeatureMatch], cam: CameraIntrinsics) -> MatchStats:
+def match_stats(matches: Matches, cam: CameraIntrinsics) -> MatchStats:
     """Count, mean confidence, and spatial uniformity of query-side pixels."""
-    if not matches:
+    if len(matches) == 0:
         return MatchStats(count=0, mean_confidence=0.0, uniformity=0.0)
-    pixels = np.array([m.pixel_query for m in matches])
-    confidences = np.array([m.confidence for m in matches])
+    pixels = matches.query
     cols = np.minimum((pixels[:, 0] / cam.width * 8).astype(int), 7)
     rows = np.minimum((pixels[:, 1] / cam.height * 8).astype(int), 7)
     counts = np.bincount(rows * 8 + cols, minlength=64).astype(np.float64)
@@ -347,7 +378,7 @@ def match_stats(matches: list[FeatureMatch], cam: CameraIntrinsics) -> MatchStat
     entropy = float(-np.sum(p * np.log(p)))
     return MatchStats(
         count=len(matches),
-        mean_confidence=float(confidences.mean()),
+        mean_confidence=float(matches.confidence.mean()),
         uniformity=entropy / np.log(64.0),
     )
 
@@ -378,7 +409,7 @@ def oracle_match(
     cam: CameraIntrinsics,
     config: OracleConfig,
     rng: np.random.Generator | None = None,
-) -> tuple[list[FeatureMatch], np.ndarray]:
+) -> tuple[Matches, np.ndarray]:
     """Manufacture correspondences from rendered depth and known poses.
 
     Samples up to ``config.n`` valid-depth reference pixels (away from the
@@ -435,20 +466,13 @@ def oracle_match(
         query_px[chosen, 0] = rng.uniform(0.0, cam.width - 1e-3, size=n_outliers)
         query_px[chosen, 1] = rng.uniform(0.0, cam.height - 1e-3, size=n_outliers)
 
-    matches = [
-        FeatureMatch(
-            pixel_query=query_px[i],
-            pixel_ref=ref_px[i],
-            confidence=0.0 if outlier_mask[i] else 1.0,
-        )
-        for i in range(kept)
-    ]
+    matches = Matches(query=query_px, ref=ref_px, confidence=np.where(outlier_mask, 0.0, 1.0))
     return matches, outlier_mask
 
 
 def save_matches(
     path: str | Path,
-    matches: list[FeatureMatch],
+    matches: Matches,
     query_size: tuple[int, int],
     ref_size: tuple[int, int],
 ) -> None:
@@ -456,9 +480,9 @@ def save_matches(
     qw, qh = query_size
     rw, rh = ref_size
     lines = [f"matches v1 {qw} {qh} {rw} {rh} {len(matches)}"]
-    for match in matches:
-        fields = [*match.pixel_query, *match.pixel_ref, match.confidence]
-        lines.append(" ".join(repr(float(v)) for v in fields))
+    table = np.column_stack([matches.query, matches.ref, matches.confidence])
+    for row in table.tolist():
+        lines.append(" ".join(repr(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -466,7 +490,7 @@ def load_matches(
     path: str | Path,
     query_size: tuple[int, int],
     ref_size: tuple[int, int],
-) -> list[FeatureMatch]:
+) -> Matches:
     """Read a ``matches v1`` file, validating sizes, bounds, and confidences."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
@@ -486,7 +510,7 @@ def load_matches(
     if count != len(lines) - 1:
         raise MatchFileError(f"{path}: header promises {count} matches, found {len(lines) - 1}")
 
-    matches = []
+    table = np.empty((count, 5))
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
         if len(fields) != 5:
@@ -503,5 +527,5 @@ def load_matches(
             raise MatchFileError(f"{path}: line {lineno}: reference pixel out of bounds")
         if not 0.0 <= conf <= 1.0:
             raise MatchFileError(f"{path}: line {lineno}: confidence out of [0, 1]")
-        matches.append(FeatureMatch(np.array([uq, vq]), np.array([ur, vr]), conf))
-    return matches
+        table[lineno - 2] = (uq, vq, ur, vr, conf)
+    return Matches(query=table[:, 0:2], ref=table[:, 2:4], confidence=table[:, 4])

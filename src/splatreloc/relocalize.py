@@ -29,8 +29,9 @@ from .anchors import AnchorDatabase, AnchorRecord, retrieve
 from .errors import MatchFileError, SplatRelocError
 from .features import (
     DetectorConfig,
-    FeatureMatch,
+    Keypoints,
     MatcherConfig,
+    Matches,
     OracleConfig,
     detect_and_describe,
     load_matches,
@@ -49,7 +50,7 @@ STATUS_FAILED = "failed"
 
 
 def lift_to_3d(
-    matches: list[FeatureMatch], anchor: AnchorRecord, cam: CameraIntrinsics
+    matches: Matches, anchor: AnchorRecord, cam: CameraIntrinsics
 ) -> Correspondences:
     """Turn 2D-2D matches into 2D-3D correspondences via rendered depth.
 
@@ -60,8 +61,7 @@ def lift_to_3d(
     """
     depth = anchor.depth
     H, W = depth.shape
-    ref = np.array([m.pixel_ref for m in matches]).reshape(-1, 2)
-    query = np.array([m.pixel_query for m in matches]).reshape(-1, 2)
+    ref, query = matches.ref, matches.query
     u0f, v0f = np.floor(ref[:, 0]), np.floor(ref[:, 1])
     inside = (u0f >= 0) & (v0f >= 0) & (u0f + 1 <= W - 1) & (v0f + 1 <= H - 1)
     ref, query, u0f, v0f = ref[inside], query[inside], u0f[inside], v0f[inside]
@@ -84,7 +84,7 @@ def lift_to_3d(
 class MatchOutcome:
     """Matches plus the wall-clock cost of producing them."""
 
-    matches: list[FeatureMatch]
+    matches: Matches
     detect_ms: float = 0.0
     match_ms: float = 0.0
 
@@ -107,9 +107,9 @@ class ReferenceMatcher:
     ) -> None:
         self.detector = detector or DetectorConfig()
         self.matcher = matcher or MatcherConfig()
-        self._query_cache: tuple[np.ndarray, tuple, np.ndarray] | None = None
+        self._query_cache: tuple[np.ndarray, Keypoints, np.ndarray] | None = None
 
-    def _query_features(self, query_image: np.ndarray):
+    def _query_features(self, query_image: np.ndarray) -> tuple[Keypoints, np.ndarray]:
         cached = self._query_cache
         if cached is not None and cached[0] is query_image:
             return cached[1], cached[2]
@@ -175,7 +175,7 @@ class ExternalMatcher:
         t0 = time.perf_counter()
         path = self.directory / f"{self.query_id}_iter{iteration}.matches"
         if not path.exists():
-            return MatchOutcome(matches=[], match_ms=(time.perf_counter() - t0) * 1e3)
+            return MatchOutcome(matches=Matches.empty(), match_ms=(time.perf_counter() - t0) * 1e3)
         size = (self.cam.width, self.cam.height)
         matches = load_matches(path, size, size)
         return MatchOutcome(matches=matches, match_ms=(time.perf_counter() - t0) * 1e3)

@@ -6,7 +6,8 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from splatreloc import (
-    FeatureMatch,
+    Keypoints,
+    Matches,
     MatchFileError,
     OracleConfig,
     Pose,
@@ -78,9 +79,7 @@ class TestDetector:
         kps, _ = detect_and_describe(square_image())
         assert len(kps) >= 4
         for corner in [(50.0, 60.0), (80.0, 60.0), (50.0, 85.0), (80.0, 85.0)]:
-            nearest = min(
-                np.linalg.norm(kp.position - np.array(corner)) for kp in kps
-            )
+            nearest = np.linalg.norm(kps.positions - np.array(corner), axis=1).min()
             assert nearest < 2.0
 
     def test_deterministic(self):
@@ -88,14 +87,13 @@ class TestDetector:
         kps_a, desc_a = detect_and_describe(img)
         kps_b, desc_b = detect_and_describe(img)
         assert len(kps_a) == len(kps_b)
-        for a, b in zip(kps_a, kps_b):
-            np.testing.assert_array_equal(a.position, b.position)
-            assert a.score == b.score
+        np.testing.assert_array_equal(kps_a.positions, kps_b.positions)
+        np.testing.assert_array_equal(kps_a.scores, kps_b.scores)
         np.testing.assert_array_equal(desc_a, desc_b)
 
     def test_constant_image_yields_nothing(self):
         kps, desc = detect_and_describe(np.full((64, 64, 3), 0.5))
-        assert kps == []
+        assert len(kps) == 0
         assert desc.shape == (0, DESCRIPTOR_DIM)
 
     def test_too_small_image_raises(self):
@@ -111,7 +109,7 @@ class TestDetector:
     def test_sorted_by_descending_score(self, render_pair):
         _, out_ref, _, _ = render_pair
         kps, _ = detect_and_describe(out_ref.rgb)
-        scores = [kp.score for kp in kps]
+        scores = kps.scores.tolist()
         assert scores == sorted(scores, reverse=True)
 
     def test_max_keypoints_respected(self, render_pair):
@@ -125,15 +123,15 @@ class TestDetector:
         _, out_ref, _, _ = render_pair
         kps, _ = detect_and_describe(out_ref.rgb)
         H, W = out_ref.rgb.shape[:2]
-        for kp in kps:
-            assert 0 <= kp.position[0] < W
-            assert 0 <= kp.position[1] < H
+        for u, v in kps.positions:
+            assert 0 <= u < W
+            assert 0 <= v < H
 
     def test_nms_enforces_min_spacing(self, render_pair):
         _, out_ref, _, _ = render_pair
         config = DetectorConfig(nms_radius=6.0)
         kps, _ = detect_and_describe(out_ref.rgb, config)
-        pts = np.array([kp.position for kp in kps])
+        pts = kps.positions
         diffs = pts[:, None, :] - pts[None, :, :]
         dists = np.linalg.norm(diffs, axis=-1) + np.eye(len(pts)) * 1e9
         assert dists.min() >= 6.0 - 1e-9
@@ -150,9 +148,9 @@ class TestMatchFeatures:
         kps, desc = detect_and_describe(out_ref.rgb)
         matches = match_features(kps, desc, kps, desc)
         assert len(matches) == len(kps)
-        for m in matches:
-            np.testing.assert_array_equal(m.pixel_query, m.pixel_ref)
-            assert m.confidence == pytest.approx(1.0)
+        for query, ref, confidence in zip(matches.query, matches.ref, matches.confidence):
+            np.testing.assert_array_equal(query, ref)
+            assert confidence == pytest.approx(1.0)
 
     def test_symmetric_under_swap(self, render_pair):
         _, out_ref, _, out_query = render_pair
@@ -160,8 +158,8 @@ class TestMatchFeatures:
         kps_b, desc_b = detect_and_describe(out_ref.rgb)
         forward = match_features(kps_a, desc_a, kps_b, desc_b)
         backward = match_features(kps_b, desc_b, kps_a, desc_a)
-        fwd_pairs = {(tuple(m.pixel_query), tuple(m.pixel_ref)) for m in forward}
-        bwd_pairs = {(tuple(m.pixel_ref), tuple(m.pixel_query)) for m in backward}
+        fwd_pairs = set(zip(map(tuple, forward.query), map(tuple, forward.ref)))
+        bwd_pairs = set(zip(map(tuple, backward.ref), map(tuple, backward.query)))
         assert fwd_pairs == bwd_pairs
 
     def test_one_to_one(self, render_pair):
@@ -169,8 +167,8 @@ class TestMatchFeatures:
         kps_a, desc_a = detect_and_describe(out_query.rgb)
         kps_b, desc_b = detect_and_describe(out_ref.rgb)
         matches = match_features(kps_a, desc_a, kps_b, desc_b)
-        ref_keys = [tuple(m.pixel_ref) for m in matches]
-        query_keys = [tuple(m.pixel_query) for m in matches]
+        ref_keys = [tuple(p) for p in matches.ref]
+        query_keys = [tuple(p) for p in matches.query]
         assert len(set(ref_keys)) == len(ref_keys)
         assert len(set(query_keys)) == len(query_keys)
 
@@ -180,19 +178,20 @@ class TestMatchFeatures:
         kps_b, desc_b = detect_and_describe(out_ref.rgb)
         loose = match_features(kps_a, desc_a, kps_b, desc_b, MatcherConfig(ratio=0.9))
         strict = match_features(kps_a, desc_a, kps_b, desc_b, MatcherConfig(ratio=0.6))
-        loose_pairs = {(tuple(m.pixel_query), tuple(m.pixel_ref)) for m in loose}
-        strict_pairs = {(tuple(m.pixel_query), tuple(m.pixel_ref)) for m in strict}
+        loose_pairs = set(zip(map(tuple, loose.query), map(tuple, loose.ref)))
+        strict_pairs = set(zip(map(tuple, strict.query), map(tuple, strict.ref)))
         assert strict_pairs <= loose_pairs
 
     def test_confidences_in_range(self, render_pair):
         _, out_ref, _, out_query = render_pair
         kps_a, desc_a = detect_and_describe(out_query.rgb)
         kps_b, desc_b = detect_and_describe(out_ref.rgb)
-        for m in match_features(kps_a, desc_a, kps_b, desc_b):
-            assert 0.0 <= m.confidence <= 1.0
+        for confidence in match_features(kps_a, desc_a, kps_b, desc_b).confidence:
+            assert 0.0 <= confidence <= 1.0
 
     def test_empty_inputs(self):
-        assert match_features([], np.zeros((0, 128)), [], np.zeros((0, 128))) == []
+        empty = Keypoints.empty()
+        assert len(match_features(empty, np.zeros((0, 128)), empty, np.zeros((0, 128)))) == 0
 
     def test_cross_view_matches_agree_with_geometry(self, render_pair, cam):
         """Lift each reference match pixel through the rendered depth and
@@ -205,23 +204,229 @@ class TestMatchFeatures:
 
         w2c = pose_query.inverse()
         checked, good = 0, 0
-        for m in matches:
-            iu, iv = int(round(m.pixel_ref[0])), int(round(m.pixel_ref[1]))
+        for pixel_query, pixel_ref in zip(matches.query, matches.ref):
+            iu, iv = int(round(pixel_ref[0])), int(round(pixel_ref[1]))
             if not (0 <= iu < cam.width and 0 <= iv < cam.height):
                 continue
             d = out_ref.depth[iv, iu]
             if d <= 0:
                 continue
-            world = pose_ref.apply(cam.backproject(m.pixel_ref, np.array([d])))[0]
+            world = pose_ref.apply(cam.backproject(pixel_ref, np.array([d])))[0]
             local = w2c.apply(world)
             if local[2] <= 0:
                 continue
             projected = cam.project(local[None])[0]
             checked += 1
-            if np.linalg.norm(projected - m.pixel_query) < 3.0:
+            if np.linalg.norm(projected - pixel_query) < 3.0:
                 good += 1
         assert checked >= 30
         assert good / checked >= 0.9
+
+
+def reference_match_features(keypoints_a, descriptors_a, keypoints_b, descriptors_b, ratio=0.8):
+    """The former per-query matching loop, kept as the reference.
+
+    Returns the (query, ref, confidence) arrays in the loop's order.
+    """
+    na, nb = len(keypoints_a), len(keypoints_b)
+    if na == 0 or nb == 0:
+        return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
+
+    dots = descriptors_a @ descriptors_b.T
+    d2 = np.maximum(2.0 - 2.0 * dots, 0.0)
+
+    nn_ab = np.argmin(d2, axis=1)
+    nn_ba = np.argmin(d2, axis=0)
+
+    def ratio_along(dist_row, best_idx):
+        if dist_row.size < 2:
+            return 0.0
+        best = np.sqrt(dist_row[best_idx])
+        rest = np.delete(dist_row, best_idx)
+        second = np.sqrt(rest.min())
+        if second < 1e-12:
+            return 1.0
+        return float(best / second)
+
+    candidates = []
+    for ia in range(na):
+        ib = int(nn_ab[ia])
+        if int(nn_ba[ib]) != ia:
+            continue
+        ratio_a = ratio_along(d2[ia, :], ib)
+        ratio_b = ratio_along(d2[:, ib], ia)
+        worst = max(ratio_a, ratio_b)
+        if worst > ratio:
+            continue
+        confidence = float(np.clip(1.0 - worst, 0.0, 1.0))
+        candidates.append((float(d2[ia, ib]), ia, ib, confidence))
+
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    used_a, used_b = set(), set()
+    query, ref, confidences = [], [], []
+    for _, ia, ib, confidence in candidates:
+        if ia in used_a or ib in used_b:
+            continue
+        used_a.add(ia)
+        used_b.add(ib)
+        query.append(keypoints_a.positions[ia])
+        ref.append(keypoints_b.positions[ib])
+        confidences.append(confidence)
+    return (
+        np.array(query).reshape(-1, 2),
+        np.array(ref).reshape(-1, 2),
+        np.array(confidences, dtype=np.float64),
+    )
+
+
+class TestMatchFeaturesMatchesReference:
+    """The array matcher returns the former loop's matches bit for bit, in order."""
+
+    def assert_same(self, kps_a, desc_a, kps_b, desc_b, ratio=0.8):
+        got = match_features(kps_a, desc_a, kps_b, desc_b, MatcherConfig(ratio=ratio))
+        query, ref, confidence = reference_match_features(kps_a, desc_a, kps_b, desc_b, ratio)
+        assert got.query.tobytes() == query.tobytes()
+        assert got.ref.tobytes() == ref.tobytes()
+        assert got.confidence.tobytes() == confidence.tobytes()
+        return got
+
+    def test_render_pair(self, render_pair):
+        _, out_ref, _, out_query = render_pair
+        kps_q, desc_q = detect_and_describe(out_query.rgb)
+        kps_r, desc_r = detect_and_describe(out_ref.rgb)
+        for ratio in (0.6, 0.8, 1.0):
+            got = self.assert_same(kps_q, desc_q, kps_r, desc_r, ratio)
+        assert len(got) >= 30
+
+    def test_swapped_pair(self, render_pair):
+        _, out_ref, _, out_query = render_pair
+        kps_q, desc_q = detect_and_describe(out_query.rgb)
+        kps_r, desc_r = detect_and_describe(out_ref.rgb)
+        assert len(self.assert_same(kps_r, desc_r, kps_q, desc_q)) >= 30
+
+    def test_self_matching_ties(self, render_pair):
+        """Every self-match has distance 0, so the order rests on the tie-break."""
+        _, out_ref, _, _ = render_pair
+        kps, desc = detect_and_describe(out_ref.rgb)
+        got = self.assert_same(kps, desc, kps, desc)
+        assert len(got) == len(kps)
+
+    def test_single_keypoint_sides(self, render_pair):
+        """A side with one keypoint has no second best: its ratio is 0."""
+        _, out_ref, _, out_query = render_pair
+        kps_q, desc_q = detect_and_describe(out_query.rgb)
+        kps_r, desc_r = detect_and_describe(out_ref.rgb)
+        assert len(self.assert_same(kps_q[:1], desc_q[:1], kps_r, desc_r, 1.0)) == 1
+        assert len(self.assert_same(kps_q, desc_q, kps_r[:1], desc_r[:1], 1.0)) == 1
+        assert len(self.assert_same(kps_q[:1], desc_q[:1], kps_r[:1], desc_r[:1])) == 1
+
+    def test_duplicate_descriptors_give_ratio_one(self, render_pair):
+        """A repeated descriptor makes the second best distance 0: ratio 1."""
+        _, out_ref, _, _ = render_pair
+        kps, desc = detect_and_describe(out_ref.rgb)
+        doubled = Keypoints(
+            np.vstack([kps.positions, kps.positions + 0.5]),
+            np.concatenate([kps.scales, kps.scales]),
+            np.concatenate([kps.scores, kps.scores]),
+        )
+        both = np.vstack([desc, desc])
+        assert len(self.assert_same(kps, desc, doubled, both, 1.0)) > 0
+        assert len(self.assert_same(kps, desc, doubled, both)) == 0
+
+
+# ===========================================================================
+# Keypoint and match records
+# ===========================================================================
+
+
+class TestKeypointsRecord:
+    def test_fields_become_float_arrays(self):
+        kps = Keypoints(positions=[[1, 2], [3, 4]], scales=[1, 2], scores=[1, 0.5])
+        assert len(kps) == 2
+        assert kps.positions.dtype == np.float64 and kps.positions.shape == (2, 2)
+        assert kps.scales.shape == (2,) and kps.scores.shape == (2,)
+
+    def test_empty(self):
+        kps = Keypoints.empty()
+        assert len(kps) == 0
+        assert kps.positions.shape == (0, 2)
+        assert len(Keypoints(np.zeros((0, 2)), [], [])) == 0
+
+    def test_mismatched_rows_raise(self):
+        with pytest.raises(ValueError, match="row counts"):
+            Keypoints(np.zeros((3, 2)), np.ones(2), np.ones(3))
+        with pytest.raises(ValueError, match="row counts"):
+            Keypoints(np.zeros((3, 2)), np.ones(3), np.ones(4))
+
+    def test_wrong_columns_raise(self):
+        with pytest.raises(ValueError, match="positions"):
+            Keypoints(np.zeros((3, 3)), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="positions"):
+            Keypoints(np.zeros(6), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="scales"):
+            Keypoints(np.zeros((3, 2)), np.ones((3, 1)), np.ones(3))
+
+    def test_getitem(self, render_pair):
+        _, out_ref, _, _ = render_pair
+        kps, _ = detect_and_describe(out_ref.rgb)
+        mask = kps.scores > np.median(kps.scores)
+        picked = kps[mask]
+        assert len(picked) == int(mask.sum())
+        np.testing.assert_array_equal(picked.positions, kps.positions[mask])
+        np.testing.assert_array_equal(picked.scales, kps.scales[mask])
+        np.testing.assert_array_equal(picked.scores, kps.scores[mask])
+        np.testing.assert_array_equal(kps[2:5].positions, kps.positions[2:5])
+        np.testing.assert_array_equal(kps[np.array([4, 0])].scores, kps.scores[[4, 0]])
+
+
+class TestMatchesRecord:
+    def make(self, n=6):
+        rng = np.random.default_rng(1)
+        return Matches(
+            rng.uniform(0, 100, (n, 2)), rng.uniform(0, 100, (n, 2)), rng.uniform(0, 1, n)
+        )
+
+    def test_confidence_outside_unit_interval_raises(self):
+        for bad in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError, match=r"match confidence must lie in \[0, 1\]"):
+                Matches(np.zeros((2, 2)), np.zeros((2, 2)), [0.5, bad])
+
+    def test_confidence_bounds_are_inclusive(self):
+        assert len(Matches(np.zeros((2, 2)), np.zeros((2, 2)), [0.0, 1.0])) == 2
+
+    def test_mismatched_rows_raise(self):
+        with pytest.raises(ValueError, match="row counts"):
+            Matches(np.zeros((3, 2)), np.zeros((2, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="row counts"):
+            Matches(np.zeros((3, 2)), np.zeros((3, 2)), np.ones(2))
+
+    def test_wrong_columns_raise(self):
+        with pytest.raises(ValueError, match="query"):
+            Matches(np.zeros((3, 3)), np.zeros((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="ref"):
+            Matches(np.zeros((3, 2)), np.zeros((3, 1)), np.ones(3))
+        with pytest.raises(ValueError, match="ref"):
+            Matches(np.zeros((3, 2)), np.zeros(6), np.ones(3))
+        with pytest.raises(ValueError, match="confidence"):
+            Matches(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 1)))
+
+    def test_empty(self):
+        matches = Matches.empty()
+        assert len(matches) == 0
+        assert matches.query.shape == (0, 2) and matches.ref.shape == (0, 2)
+        assert matches.confidence.shape == (0,)
+        assert len(self.make()[np.zeros(6, dtype=bool)]) == 0
+
+    def test_getitem(self):
+        matches = self.make()
+        mask = np.array([True, False, True, True, False, False])
+        picked = matches[mask]
+        assert len(picked) == 3
+        np.testing.assert_array_equal(picked.query, matches.query[mask])
+        np.testing.assert_array_equal(picked.ref, matches.ref[mask])
+        np.testing.assert_array_equal(picked.confidence, matches.confidence[mask])
+        np.testing.assert_array_equal(matches[1:3].ref, matches.ref[1:3])
+        np.testing.assert_array_equal(matches[np.array([5, 0])].query, matches.query[[5, 0]])
 
 
 # ===========================================================================
@@ -231,38 +436,28 @@ class TestMatchFeatures:
 
 class TestMatchStats:
     def test_empty(self, cam):
-        stats = match_stats([], cam)
+        stats = match_stats(Matches.empty(), cam)
         assert stats.count == 0
         assert stats.mean_confidence == 0.0
         assert stats.uniformity == 0.0
 
     def test_uniform_coverage_is_one(self, cam):
         """One match per 8x8 grid cell maximizes the occupancy entropy."""
-        matches = [
-            FeatureMatch(
-                pixel_query=np.array([20.0 + 40.0 * i, 15.0 + 30.0 * j]),
-                pixel_ref=np.zeros(2),
-                confidence=1.0,
-            )
-            for i in range(8)
-            for j in range(8)
-        ]
+        query = [[20.0 + 40.0 * i, 15.0 + 30.0 * j] for i in range(8) for j in range(8)]
+        matches = Matches(query=query, ref=np.zeros((64, 2)), confidence=np.ones(64))
         stats = match_stats(matches, cam)
         assert stats.count == 64
         assert stats.uniformity == pytest.approx(1.0, abs=1e-12)
 
     def test_single_cell_is_zero(self, cam):
-        matches = [
-            FeatureMatch(np.array([10.0 + 0.1 * k, 10.0]), np.zeros(2), 0.5)
-            for k in range(5)
-        ]
+        query = [[10.0 + 0.1 * k, 10.0] for k in range(5)]
+        matches = Matches(query=query, ref=np.zeros((5, 2)), confidence=np.full(5, 0.5))
         assert match_stats(matches, cam).uniformity == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_confidence(self, cam):
-        matches = [
-            FeatureMatch(np.array([10.0, 10.0]), np.zeros(2), 0.2),
-            FeatureMatch(np.array([200.0, 200.0]), np.zeros(2), 0.8),
-        ]
+        matches = Matches(
+            query=[[10.0, 10.0], [200.0, 200.0]], ref=np.zeros((2, 2)), confidence=[0.2, 0.8]
+        )
         assert match_stats(matches, cam).mean_confidence == pytest.approx(0.5)
 
 
@@ -288,13 +483,13 @@ class TestOracleMatch:
         matches, outliers = oracle_match(query_pose, ref_pose, depth, cam, config)
         assert not outliers.any()
         w2c = query_pose.inverse()
-        for m in matches:
-            iu, iv = int(m.pixel_ref[0]), int(m.pixel_ref[1])
+        for pixel_query, pixel_ref in zip(matches.query, matches.ref):
+            iu, iv = int(pixel_ref[0]), int(pixel_ref[1])
             world = ref_pose.apply(
-                cam.backproject(m.pixel_ref, np.array([depth[iv, iu]]))
+                cam.backproject(pixel_ref, np.array([depth[iv, iu]]))
             )[0]
             projected = cam.project(w2c.apply(world)[None])[0]
-            np.testing.assert_allclose(projected, m.pixel_query, atol=1e-9)
+            np.testing.assert_allclose(projected, pixel_query, atol=1e-9)
 
     def test_same_pose_keeps_all_samples(self, cam):
         pose = Pose.identity()
@@ -302,17 +497,17 @@ class TestOracleMatch:
             pose, pose, flat_depth(cam), cam, OracleConfig(n=150, seed=1)
         )
         assert len(matches) == 150
-        for m in matches:
-            np.testing.assert_allclose(m.pixel_query, m.pixel_ref, atol=1e-9)
+        for pixel_query, pixel_ref in zip(matches.query, matches.ref):
+            np.testing.assert_allclose(pixel_query, pixel_ref, atol=1e-9)
 
     def test_reference_pixels_respect_border_margin(self, cam):
         config = OracleConfig(n=300, seed=2, border_margin=3)
         matches, _ = oracle_match(
             Pose.identity(), Pose.identity(), flat_depth(cam), cam, config
         )
-        for m in matches:
-            assert 3 <= m.pixel_ref[0] < cam.width - 3
-            assert 3 <= m.pixel_ref[1] < cam.height - 3
+        for u, v in matches.ref:
+            assert 3 <= u < cam.width - 3
+            assert 3 <= v < cam.height - 3
 
     def test_noise_standard_deviation(self, cam):
         """With identical poses the query-side displacement is exactly the
@@ -321,7 +516,7 @@ class TestOracleMatch:
         sigma = 1.5
         config = OracleConfig(n=400, pixel_noise_sigma=sigma, seed=3)
         matches, _ = oracle_match(pose, pose, flat_depth(cam), cam, config)
-        residuals = np.array([m.pixel_query - m.pixel_ref for m in matches]).ravel()
+        residuals = (matches.query - matches.ref).ravel()
         assert abs(residuals.std() - sigma) < 0.2
         assert abs(residuals.mean()) < 0.2
 
@@ -332,8 +527,8 @@ class TestOracleMatch:
         )
         assert len(matches) == 100
         assert int(outliers.sum()) == 20
-        for m, is_outlier in zip(matches, outliers):
-            assert m.confidence == (0.0 if is_outlier else 1.0)
+        for confidence, is_outlier in zip(matches.confidence, outliers):
+            assert confidence == (0.0 if is_outlier else 1.0)
 
     def test_deterministic_per_rng(self, cam):
         config = OracleConfig(n=50, pixel_noise_sigma=0.5, outlier_fraction=0.1, seed=9)
@@ -344,9 +539,8 @@ class TestOracleMatch:
             Pose.identity(), Pose.identity(), flat_depth(cam), cam, config
         )
         np.testing.assert_array_equal(mask_a, mask_b)
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.pixel_query, mb.pixel_query)
-            np.testing.assert_array_equal(ma.pixel_ref, mb.pixel_ref)
+        np.testing.assert_array_equal(a.query, b.query)
+        np.testing.assert_array_equal(a.ref, b.ref)
 
     def test_external_rng_overrides_seed(self, cam):
         config = OracleConfig(n=50, seed=0)
@@ -358,8 +552,7 @@ class TestOracleMatch:
         b, _ = oracle_match(
             Pose.identity(), Pose.identity(), flat_depth(cam), cam, config, rng_b
         )
-        for ma, mb in zip(a, b):
-            np.testing.assert_array_equal(ma.pixel_ref, mb.pixel_ref)
+        np.testing.assert_array_equal(a.ref, b.ref)
 
     def test_too_few_valid_pixels_raises(self, cam):
         depth = np.zeros((cam.height, cam.width))
@@ -399,14 +592,12 @@ class TestOracleMatch:
 class TestMatchFileFormat:
     def make_matches(self, n=20, seed=0):
         rng = np.random.default_rng(seed)
-        return [
-            FeatureMatch(
-                pixel_query=np.array([rng.uniform(0, 319.9), rng.uniform(0, 239.9)]),
-                pixel_ref=np.array([rng.uniform(0, 319.9), rng.uniform(0, 239.9)]),
-                confidence=float(rng.uniform(0, 1)),
-            )
+        rows = np.array([
+            [rng.uniform(0, 319.9), rng.uniform(0, 239.9),
+             rng.uniform(0, 319.9), rng.uniform(0, 239.9), rng.uniform(0, 1)]
             for _ in range(n)
-        ]
+        ]).reshape(-1, 5)
+        return Matches(query=rows[:, 0:2], ref=rows[:, 2:4], confidence=rows[:, 4])
 
     def test_roundtrip_exact(self, tmp_path):
         matches = self.make_matches(n=500)
@@ -415,10 +606,23 @@ class TestMatchFileFormat:
         save_matches(path, matches, size, size)
         back = load_matches(path, size, size)
         assert len(back) == 500
-        for a, b in zip(matches, back):
-            np.testing.assert_array_equal(a.pixel_query, b.pixel_query)
-            np.testing.assert_array_equal(a.pixel_ref, b.pixel_ref)
-            assert a.confidence == b.confidence
+        np.testing.assert_array_equal(matches.query, back.query)
+        np.testing.assert_array_equal(matches.ref, back.ref)
+        np.testing.assert_array_equal(matches.confidence, back.confidence)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, cam):
+        size = (cam.width, cam.height)
+        for k, matches in enumerate([
+            self.make_matches(n=200),
+            oracle_match(
+                Pose.identity(), Pose.identity(), flat_depth(cam), cam,
+                OracleConfig(n=100, pixel_noise_sigma=0.7, outlier_fraction=0.3, seed=8),
+            )[0],
+        ]):
+            first, second = tmp_path / f"a{k}.matches", tmp_path / f"b{k}.matches"
+            save_matches(first, matches, size, size)
+            save_matches(second, load_matches(first, size, size), size, size)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_header_contents(self, tmp_path):
         path = tmp_path / "m.matches"
@@ -427,8 +631,8 @@ class TestMatchFileFormat:
 
     def test_empty_match_list_roundtrips(self, tmp_path):
         path = tmp_path / "m.matches"
-        save_matches(path, [], (320, 240), (320, 240))
-        assert load_matches(path, (320, 240), (320, 240)) == []
+        save_matches(path, Matches.empty(), (320, 240), (320, 240))
+        assert len(load_matches(path, (320, 240), (320, 240))) == 0
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "m.matches"
@@ -438,7 +642,7 @@ class TestMatchFileFormat:
 
     def test_size_mismatch_raises(self, tmp_path):
         path = tmp_path / "m.matches"
-        save_matches(path, [], (320, 240), (320, 240))
+        save_matches(path, Matches.empty(), (320, 240), (320, 240))
         with pytest.raises(MatchFileError, match="sizes"):
             load_matches(path, (640, 480), (320, 240))
 

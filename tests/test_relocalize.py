@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from splatreloc import (
     AnchorRecord,
     ExternalMatcher,
-    FeatureMatch,
+    Matches,
     OracleConfig,
     OracleMatcher,
     Pose,
@@ -40,15 +40,16 @@ def flat_anchor(cam, depth_value: float = 5.0, pose: Pose | None = None) -> Anch
     )
 
 
-def match_at(u: float, v: float) -> FeatureMatch:
-    return FeatureMatch(pixel_query=(u, v), pixel_ref=(u, v), confidence=1.0)
+def matches_at(*pixels: tuple[float, float]) -> Matches:
+    """Matches whose query and reference pixels coincide, full confidence."""
+    return Matches(query=pixels, ref=pixels, confidence=np.ones(len(pixels)))
 
 
 class TestLiftTo3d:
     def test_principal_point_identity_pose(self, cam):
         """Principal-point match at depth 5 with identity pose lifts to (0, 0, 5)."""
         anchor = flat_anchor(cam, depth_value=5.0)
-        corrs = lift_to_3d([match_at(cam.cx, cam.cy)], anchor, cam)
+        corrs = lift_to_3d(matches_at((cam.cx, cam.cy)), anchor, cam)
         assert len(corrs) == 1
         assert_allclose(corrs.points[0], [0.0, 0.0, 5.0], atol=1e-12)
         assert_allclose(corrs.pixels[0], [cam.cx, cam.cy], atol=1e-12)
@@ -73,7 +74,7 @@ class TestLiftTo3d:
         for _ in range(20):
             u = float(rng.uniform(1, cam.width - 2))
             v = float(rng.uniform(1, cam.height - 2))
-            (point,) = lift_to_3d([match_at(u, v)], anchor, cam).points
+            (point,) = lift_to_3d(matches_at((u, v)), anchor, cam).points
             d = 2.0 + 0.01 * u + 0.02 * v
             p_cam = np.array([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d])
             assert_allclose(point, R @ p_cam + pose.translation, atol=1e-9)
@@ -82,25 +83,25 @@ class TestLiftTo3d:
         """A zero-depth pixel in the 2x2 sample window invalidates the match."""
         anchor = flat_anchor(cam)
         anchor.depth[8, 12] = 0.0
-        kept = lift_to_3d([match_at(11.5, 7.5), match_at(20.5, 20.5)], anchor, cam)
+        kept = lift_to_3d(matches_at((11.5, 7.5), (20.5, 20.5)), anchor, cam)
         assert len(kept) == 1
         assert_allclose(kept.pixels[0], [20.5, 20.5])
 
     def test_border_pixels_dropped(self, cam):
         """Sample windows that leave the image are rejected."""
         anchor = flat_anchor(cam)
-        matches = [
-            match_at(cam.width - 1, 10.0),
-            match_at(-0.5, 10.0),
-            match_at(10.0, cam.height - 1),
-            match_at(10.0, 10.0),
-        ]
+        matches = matches_at(
+            (cam.width - 1, 10.0),
+            (-0.5, 10.0),
+            (10.0, cam.height - 1),
+            (10.0, 10.0),
+        )
         kept = lift_to_3d(matches, anchor, cam)
         assert len(kept) == 1
         assert_allclose(kept.pixels[0], [10.0, 10.0])
 
     def test_empty_input(self, cam):
-        assert len(lift_to_3d([], flat_anchor(cam), cam)) == 0
+        assert len(lift_to_3d(Matches.empty(), flat_anchor(cam), cam)) == 0
 
 
 @pytest.fixture(scope="module")
