@@ -87,11 +87,14 @@ def _camera_from_settings(args: argparse.Namespace, config: dict) -> CameraIntri
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
+    default = SyntheticSceneConfig()
     scene_config = SyntheticSceneConfig(
-        n_gaussians=int(_setting(args, config, "n_gaussians", 4000)),
-        extent=float(_setting(args, config, "extent", 5.0)),
-        trajectory_length=float(_setting(args, config, "trajectory_length", 12.0)),
-        anchor_spacing=float(_setting(args, config, "anchor_spacing", 3.0)),
+        n_gaussians=int(_setting(args, config, "n_gaussians", default.n_gaussians)),
+        extent=float(_setting(args, config, "extent", default.extent)),
+        trajectory_length=float(
+            _setting(args, config, "trajectory_length", default.trajectory_length)
+        ),
+        anchor_spacing=float(_setting(args, config, "anchor_spacing", default.anchor_spacing)),
     )
     seed = int(_setting(args, config, "seed", 0))
     scene, trajectory = generate_synthetic_scene(seed, scene_config)
@@ -132,11 +135,12 @@ def _cmd_relocalize(args: argparse.Namespace) -> int:
 
     matcher_kind = _setting(args, config, "matcher", "reference")
     seed = int(_setting(args, config, "seed", 0))
+    default = RelocalizeConfig()
     loop_config = RelocalizeConfig(
-        max_iterations=int(_setting(args, config, "max_iterations", 10)),
-        trans_eps=float(_setting(args, config, "trans_eps", 0.01)),
-        rot_eps=float(_setting(args, config, "rot_eps", 0.01)),
-        min_matches=int(_setting(args, config, "min_matches", 12)),
+        max_iterations=int(_setting(args, config, "max_iterations", default.max_iterations)),
+        trans_eps=float(_setting(args, config, "trans_eps", default.trans_eps)),
+        rot_eps=float(_setting(args, config, "rot_eps", default.rot_eps)),
+        min_matches=int(_setting(args, config, "min_matches", default.min_matches)),
     )
 
     gt_trajectory = None
@@ -162,9 +166,11 @@ def _cmd_relocalize(args: argparse.Namespace) -> int:
                     f"query {query_id!r}: no ground-truth pose line for the oracle matcher"
                 ) from None
             oracle_config = OracleConfig(
-                n=int(_setting(args, config, "oracle_n", 150)),
+                n=int(_setting(args, config, "oracle_n", OracleConfig.n)),
                 pixel_noise_sigma=float(_setting(args, config, "noise", 0.5)),
-                outlier_fraction=float(_setting(args, config, "outlier_fraction", 0.0)),
+                outlier_fraction=float(
+                    _setting(args, config, "outlier_fraction", OracleConfig.outlier_fraction)
+                ),
                 seed=seed * 1_000_003 + int(query_id),
             )
             matcher = OracleMatcher(gt_pose, db.camera, oracle_config)

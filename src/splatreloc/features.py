@@ -135,49 +135,93 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
     return 0.299 * image[:, :, 0] + 0.587 * image[:, :, 1] + 0.114 * image[:, :, 2]
 
 
-def _harris_response(gray: np.ndarray, sigma: float, k: float) -> np.ndarray:
-    """Harris corner response det(M) - k * trace(M)^2 at blur scale sigma."""
-    smoothed = gaussian_filter(gray, sigma, mode="nearest")
-    gy, gx = np.gradient(smoothed)
+def _harris_response(
+    gray: np.ndarray, sigma: float, k: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of ``gray`` blurred at sigma, and the Harris response
+    det(M) - k * trace(M)^2 of their structure tensor M."""
+    gy, gx = np.gradient(gaussian_filter(gray, sigma, mode="nearest"))
     sxx = gaussian_filter(gx * gx, 1.5 * sigma, mode="nearest")
     sxy = gaussian_filter(gx * gy, 1.5 * sigma, mode="nearest")
     syy = gaussian_filter(gy * gy, 1.5 * sigma, mode="nearest")
-    return (sxx * syy - sxy * sxy) - k * (sxx + syy) ** 2
+    return gx, gy, (sxx * syy - sxy * sxy) - k * (sxx + syy) ** 2
 
 
-def _subpixel_refine(response: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Quadratic peak interpolation, clamped to half a pixel per axis."""
-    u, v = float(col), float(row)
-    if 0 < col < response.shape[1] - 1:
-        left, mid, right = response[row, col - 1], response[row, col], response[row, col + 1]
-        denom = left - 2.0 * mid + right
-        if abs(denom) > 1e-12:
-            u += float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
-    if 0 < row < response.shape[0] - 1:
-        top, mid, bot = response[row - 1, col], response[row, col], response[row + 1, col]
-        denom = top - 2.0 * mid + bot
-        if abs(denom) > 1e-12:
-            v += float(np.clip(0.5 * (top - bot) / denom, -0.5, 0.5))
-    return np.array([u, v])
+def _peaks(resp: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-pixel u, v and response of the 3x3 local maxima above threshold.
+
+    Peaks come in row-major order.  Each axis is refined by quadratic
+    interpolation through the peak and its two neighbors, clamped to half a
+    pixel, and left on the pixel where the parabola is flat.
+    """
+    interior = resp[1:-1, 1:-1]
+    is_peak = (
+        (interior >= resp[:-2, :-2]) & (interior >= resp[:-2, 1:-1]) & (interior >= resp[:-2, 2:])
+        & (interior >= resp[1:-1, :-2]) & (interior >= resp[1:-1, 2:])
+        & (interior >= resp[2:, :-2]) & (interior >= resp[2:, 1:-1]) & (interior >= resp[2:, 2:])
+        & (interior > threshold)
+    )
+    rows, cols = np.nonzero(is_peak)
+    rows += 1
+    cols += 1
+    mid = resp[rows, cols]
+    refined = []
+    for at, before, after in (
+        (cols, resp[rows, cols - 1], resp[rows, cols + 1]),
+        (rows, resp[rows - 1, cols], resp[rows + 1, cols]),
+    ):
+        denom = before - 2.0 * mid + after
+        step = np.divide(
+            0.5 * (before - after), denom, out=np.zeros_like(denom), where=np.abs(denom) > 1e-12
+        )
+        refined.append(at + np.clip(step, -0.5, 0.5))
+    return refined[0], refined[1], mid
+
+
+def _suppress(positions: np.ndarray, radius: float, cap: int) -> np.ndarray:
+    """Indices of the rows that greedy non-maximum suppression keeps, in order.
+
+    Rows come strongest first; each is kept unless a kept row lies closer
+    than ``radius``.  Stops once ``cap`` rows are kept.
+    """
+    r2 = radius**2
+    taken = np.empty_like(positions)
+    kept: list[int] = []
+    for i, uv in enumerate(positions):
+        d = uv - taken[: len(kept)]
+        if np.any(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < r2):
+            continue
+        taken[len(kept)] = uv
+        kept.append(i)
+        if len(kept) >= cap:
+            break
+    return np.array(kept, dtype=np.intp)
+
+
+#: Descriptor cell (4x4 grid, row-major) of each sample in the 16x16 grid.
+_CELLS = np.arange(16)[:, None] // 4 * 4 + np.arange(16)[None, :] // 4
 
 
 def _describe(
-    gx: np.ndarray, gy: np.ndarray, keypoint_uv: np.ndarray, sigma: float
-) -> np.ndarray | None:
-    """128-dim gradient-orientation patch descriptor (4x4 cells x 8 bins).
+    gx: np.ndarray, gy: np.ndarray, positions: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """128-dim gradient-orientation patch descriptors (4x4 cells x 8 bins).
 
-    Samples a 16x16 grid spaced by the detection sigma around the keypoint,
-    using bilinear interpolation of the precomputed image gradients.  Returns
-    None when the support window leaves the image or the patch is flat.
+    Samples a 16x16 grid spaced by the detection sigma around each of the
+    (K, 2) keypoint positions, using bilinear interpolation of the image
+    gradients, and returns (K, 128) unit descriptors with a mask of the
+    valid rows.  A row is invalid when its window leaves the image or its
+    patch is flat.
     """
     H, W = gx.shape
-    u0, v0 = keypoint_uv
+    u, v = positions.T
     offsets = (np.arange(16) - 7.5) * sigma
-    us = u0 + offsets[None, :] + np.zeros((16, 1))
-    vs = v0 + offsets[:, None] + np.zeros((1, 16))
-    if us.min() < 0 or us.max() > W - 2 or vs.min() < 0 or vs.max() > H - 2:
-        return None
-
+    inside = (
+        (u + offsets[0] >= 0) & (u + offsets[-1] <= W - 2)
+        & (v + offsets[0] >= 0) & (v + offsets[-1] <= H - 2)
+    )
+    us = u[inside, None, None] + offsets[None, None, :]
+    vs = v[inside, None, None] + offsets[None, :, None]
     uf = np.floor(us).astype(int)
     vf = np.floor(vs).astype(int)
     au = us - uf
@@ -195,21 +239,22 @@ def _describe(
     gy_s = sample(gy)
     mag = np.hypot(gx_s, gy_s)
     ori = np.arctan2(gy_s, gx_s)  # [-pi, pi]
-
     bins = np.floor((ori + np.pi) / (2.0 * np.pi) * 8.0).astype(int) % 8
-    desc = np.zeros((4, 4, 8))
-    for block_row in range(4):
-        for block_col in range(4):
-            sub_bins = bins[block_row * 4 : block_row * 4 + 4, block_col * 4 : block_col * 4 + 4]
-            sub_mag = mag[block_row * 4 : block_row * 4 + 4, block_col * 4 : block_col * 4 + 4]
-            desc[block_row, block_col] = np.bincount(
-                sub_bins.ravel(), weights=sub_mag.ravel(), minlength=8
-            )
-    flat = desc.reshape(-1)
-    norm = float(np.linalg.norm(flat))
-    if norm < 1e-12:
-        return None
-    return flat / norm
+
+    # One histogram per (keypoint, cell); the row-major flattening hands each
+    # cell's samples to bincount in row-major order within the cell.
+    n = len(mag)
+    index = (np.arange(n)[:, None, None] * 16 + _CELLS) * 8 + bins
+    hist = np.bincount(index.ravel(), weights=mag.ravel(), minlength=n * DESCRIPTOR_DIM)
+    descriptors = np.zeros((len(u), DESCRIPTOR_DIM))
+    descriptors[inside] = hist.reshape(n, DESCRIPTOR_DIM)
+
+    # One BLAS dot per row, the sum np.linalg.norm takes for a single vector.
+    # Rows outside the image are zero, so they count as flat.
+    norms = np.sqrt(descriptors[:, None, :] @ descriptors[:, :, None]).reshape(len(u))
+    valid = ~(norms < 1e-12)
+    descriptors[valid] /= norms[valid, None]
+    return descriptors, valid
 
 
 def detect_and_describe(
@@ -227,82 +272,38 @@ def detect_and_describe(
             f"image must be at least {MIN_IMAGE_DIM}px on each side, got {gray.shape}"
         )
 
-    candidates: list[tuple[float, float, float, np.ndarray]] = []  # score, v, u, (u, v, sigma)
-    global_max = 0.0
-    responses = {}
-    for sigma in config.scales:
-        resp = _harris_response(gray, sigma, config.harris_k)
-        responses[sigma] = resp
-        global_max = max(global_max, float(resp.max(initial=0.0)))
+    levels = [_harris_response(gray, sigma, config.harris_k) for sigma in config.scales]
+    global_max = max([0.0] + [float(resp.max(initial=0.0)) for _, _, resp in levels])
     if global_max <= config.abs_threshold:
         return Keypoints.empty(), np.zeros((0, DESCRIPTOR_DIM))
 
+    # Peaks of every scale, strongest first, ties by (v, u) then scale order.
     threshold = max(config.abs_threshold, config.rel_threshold * global_max)
-    for sigma in config.scales:
-        resp = responses[sigma]
-        # 3x3 local maxima above threshold.
-        interior = resp[1:-1, 1:-1]
-        is_peak = (
-            (interior >= resp[:-2, :-2]) & (interior >= resp[:-2, 1:-1]) & (interior >= resp[:-2, 2:])
-            & (interior >= resp[1:-1, :-2]) & (interior >= resp[1:-1, 2:])
-            & (interior >= resp[2:, :-2]) & (interior >= resp[2:, 1:-1]) & (interior >= resp[2:, 2:])
-            & (interior > threshold)
-        )
-        rows, cols = np.nonzero(is_peak)
-        for row, col in zip(rows + 1, cols + 1):
-            uv = _subpixel_refine(resp, row, col)
-            score = float(resp[row, col] / global_max)
-            candidates.append((score, uv[1], uv[0], np.array([uv[0], uv[1], sigma])))
+    peaks = [_peaks(resp, threshold) for _, _, resp in levels]
+    u, v, resp = (np.concatenate(column) for column in zip(*peaks))
+    positions = np.column_stack([u, v])
+    level = np.repeat(np.arange(len(levels)), [len(p[0]) for p in peaks])
+    scores = resp / global_max
+    order = np.lexsort((u, v, -scores))
 
-    # Greedy NMS across scales: strongest first, suppress within nms_radius.
-    # A coarse occupancy grid keeps the neighbor search O(1) per candidate.
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    kept: list[tuple[float, np.ndarray]] = []
-    cell = max(config.nms_radius, 1.0)
-    r2 = config.nms_radius**2
-    occupied: dict[tuple[int, int], list[np.ndarray]] = {}
-    for score, _, _, packed in candidates:
-        uv = packed[:2]
-        key = (int(uv[0] // cell), int(uv[1] // cell))
-        suppressed = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for other in occupied.get((key[0] + dx, key[1] + dy), ()):
-                    if float(np.sum((uv - other) ** 2)) < r2:
-                        suppressed = True
-                        break
-                if suppressed:
-                    break
-            if suppressed:
-                break
-        if suppressed:
-            continue
-        kept.append((score, packed))
-        occupied.setdefault(key, []).append(uv)
-        if len(kept) >= 4 * config.max_keypoints:
-            break
+    # Greedy NMS across scales, then describe the survivors one scale at a time.
+    cap = 4 * config.max_keypoints
+    kept = order[_suppress(positions[order], config.nms_radius, cap)]
+    descriptors = np.zeros((len(kept), DESCRIPTOR_DIM))
+    valid = np.zeros(len(kept), dtype=bool)
+    for i, ((gx, gy, _), sigma) in enumerate(zip(levels, config.scales)):
+        at = level[kept] == i
+        descriptors[at], valid[at] = _describe(gx, gy, positions[kept[at]], sigma)
 
-    gradients = {}
-    for sigma in config.scales:
-        gy, gx = np.gradient(gaussian_filter(gray, sigma, mode="nearest"))
-        gradients[sigma] = (gx, gy)
-    rows: list[np.ndarray] = []  # (u, v, sigma)
-    scores: list[float] = []
-    descriptors: list[np.ndarray] = []
-    for score, packed in kept:
-        uv, sigma = packed[:2], float(packed[2])
-        gx, gy = gradients[sigma]
-        desc = _describe(gx, gy, uv, sigma)
-        if desc is None:
-            continue
-        rows.append(packed)
-        scores.append(score)
-        descriptors.append(desc)
-        if len(rows) >= config.max_keypoints:
-            break
-    table = np.reshape(rows, (-1, 3))
-    keypoints = Keypoints(positions=table[:, :2], scales=table[:, 2], scores=scores)
-    return keypoints, np.reshape(descriptors, (-1, DESCRIPTOR_DIM))
+    # The first valid survivors; like NMS, the cap keeps at least one.
+    limit = max(config.max_keypoints, 1)
+    chosen = kept[valid][:limit]
+    keypoints = Keypoints(
+        positions=positions[chosen],
+        scales=np.array(config.scales, dtype=np.float64)[level[chosen]],
+        scores=scores[chosen],
+    )
+    return keypoints, descriptors[valid][:limit]
 
 
 def match_features(

@@ -118,11 +118,6 @@ def quat_rotation_angle(q: np.ndarray) -> float:
     return 2.0 * float(np.arctan2(vec_norm, abs(float(q[0]))))
 
 
-def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
-    """Uniformly distributed unit quaternion (w >= 0 canonical form)."""
-    return quat_normalize(rng.normal(size=4))
-
-
 @dataclass(frozen=True)
 class Pose:
     """Camera-to-world rigid transform: p_world = R(q) @ p_cam + t."""

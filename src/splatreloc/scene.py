@@ -14,8 +14,6 @@ deviations (s, meters), opacity in (0, 1], and RGB color in [0, 1].
 
 from __future__ import annotations
 
-import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,67 +145,13 @@ def _scene_of_records(records: np.ndarray, sky: np.ndarray, path: str | Path) ->
         raise SplatFormatError(f"{path}: {exc}") from None
 
 
-#: The bytes ``save_splat_scene`` writes: printable ASCII, tabs and newlines.
-_PLAIN_BYTES = bytes([9, 10, *range(32, 127)])
-#: Header line and optional sky line of a plain file, blank lines allowed.
-_PLAIN_PREAMBLE = re.compile(
-    rb"\s*gsplat[ \t]+v1[ \t]+(\d+)[ \t]*(?:\n|\Z)"
-    rb"(?:\s*sky[ \t]+(\S+)[ \t]+(\S+)[ \t]+(\S+)[ \t]*(?:\n|\Z))?"
-)
-
-
-def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sky and (count, 14) records of a well-formed file, in one vectorized pass.
-
-    Returns None, leaving the file to ``_parse_lines``, unless the file holds
-    only plain bytes, its header and sky line are valid, and its ``count``
-    non-blank record lines each have 14 fields that all parse as numbers.
-    """
-    data = data.replace(b"\r\n", b"\n")
-    head = _PLAIN_PREAMBLE.match(data)
-    if head is None or data.translate(None, _PLAIN_BYTES):
-        return None
-    count = int(head[1])
-    sky = np.zeros(3)
-    if head[2] is not None:
-        try:
-            sky = np.array([float(v) for v in head.groups()[1:]])
-        except ValueError:
-            return None
-        if not np.all((sky >= 0.0) & (sky <= 1.0)):
-            return None
-
-    # Fields per line: token starts (a byte above space after one at or below
-    # it) between consecutive newlines; blank lines have none.
-    body = data[head.end() :]
-    codes = np.frombuffer(body, dtype=np.uint8)
-    in_token = codes > 32
-    starts = np.flatnonzero(in_token[1:] > in_token[:-1]) + 1
-    before = np.searchsorted(starts, np.flatnonzero(codes == 10))
-    fields = np.diff(before, prepend=0, append=starts.size)
-    fields[0] += in_token[:1].sum()
-    fields = fields[fields > 0]
-    if fields.size != count or np.any(fields != RECORD_FIELDS):
-        return None
-
-    # Older numpy releases warn, rather than raise, on a token they cannot
-    # parse, and return the values before it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(body, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    if values.size != count * RECORD_FIELDS:
-        return None
-    return sky, values.reshape(count, RECORD_FIELDS)
-
-
 def _parse_lines(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Sky and (count, 14) records, reading the file one line at a time.
+    """Sky and (count, 14) records of a scene file.
 
-    Raises the ``SplatFormatError`` that names the file's first fault; any
-    file ``_parse_plain`` declines comes here.
+    The records are parsed in one ``np.loadtxt`` call.  When that fails, or
+    does not give ``count`` rows of 14 values, they are parsed one record at
+    a time, which raises the ``SplatFormatError`` that names the file's first
+    fault and accepts every number spelling ``float`` does (such as ``1_0``).
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
@@ -238,6 +182,13 @@ def _parse_lines(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     if len(body) != count:
         raise SplatFormatError(f"{path}: header promises {count} records, found {len(body)}")
+    if count > 0:
+        try:
+            records = np.loadtxt(body, comments=None, ndmin=2)
+        except ValueError:
+            records = None
+        if records is not None and records.shape == (count, RECORD_FIELDS):
+            return sky, records
     rows: list[list[float]] = []
     for i, line in enumerate(body):
         fields = line.split()
@@ -255,14 +206,11 @@ def _parse_lines(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 def load_splat_scene(path: str | Path) -> SplatScene:
     """Read a ``gsplat v1`` scene file, validating every record.
 
-    A file laid out as ``save_splat_scene`` writes it is parsed in one
-    vectorized pass and validated once by ``SplatScene``.  Any other file, or
-    one whose header or records do not parse, is read line by line.  Either
-    way a ``SplatFormatError`` names the file's first fault with the same
-    text, for a record as ``record i: ...``.
+    The records are parsed in one pass and validated once by ``SplatScene``;
+    a ``SplatFormatError`` names the file's first fault, for a record as
+    ``record i: ...``.
     """
-    parsed = _parse_plain(Path(path).read_bytes())
-    sky, records = parsed if parsed is not None else _parse_lines(path)
+    sky, records = _parse_lines(path)
     return _scene_of_records(records, sky, path)
 
 

@@ -10,6 +10,12 @@ from splatreloc import (
     build_anchor_db,
     generate_synthetic_scene,
 )
+from splatreloc.geometry import quat_normalize
+
+
+def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
+    """Uniformly distributed unit quaternion (w >= 0 canonical form)."""
+    return quat_normalize(rng.normal(size=4))
 
 
 def scene_from(gaussians, sky=(0.0, 0.0, 0.0)) -> SplatScene:

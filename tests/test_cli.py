@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from splatreloc import load_anchor_db, load_splat_scene, load_trajectory, render, save_ppm
+from splatreloc import (
+    generate_synthetic_scene,
+    load_anchor_db,
+    load_splat_scene,
+    load_trajectory,
+    render,
+    save_ppm,
+    save_splat_scene,
+    save_trajectory,
+)
 from splatreloc.cli import main
 from splatreloc.scene import DEFAULT_CAMERA
 
@@ -101,6 +110,18 @@ class TestSynth:
             == 0
         )
         assert len(load_splat_scene(tmp_path / "s.gsplat")) == 120
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        """With no seed or size flags, synth writes generate_synthetic_scene(0)."""
+        assert (
+            main(["synth", "--out", str(tmp_path / "s.gsplat"), "--traj-out", str(tmp_path / "t.txt")])
+            == 0
+        )
+        scene, trajectory = generate_synthetic_scene(0)
+        save_splat_scene(tmp_path / "expected.gsplat", scene)
+        save_trajectory(tmp_path / "expected.txt", trajectory)
+        assert (tmp_path / "s.gsplat").read_bytes() == (tmp_path / "expected.gsplat").read_bytes()
+        assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
 
 class TestBuildAnchors:

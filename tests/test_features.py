@@ -18,6 +18,7 @@ from splatreloc import (
 )
 from splatreloc.features import (
     DESCRIPTOR_DIM,
+    MIN_IMAGE_DIM,
     DetectorConfig,
     MatcherConfig,
     detect_and_describe,
@@ -135,6 +136,228 @@ class TestDetector:
         diffs = pts[:, None, :] - pts[None, :, :]
         dists = np.linalg.norm(diffs, axis=-1) + np.eye(len(pts)) * 1e9
         assert dists.min() >= 6.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The former detector, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+def reference_harris_response(gray: np.ndarray, sigma: float, k: float) -> np.ndarray:
+    """Harris corner response det(M) - k * trace(M)^2 at blur scale sigma."""
+    smoothed = gaussian_filter(gray, sigma, mode="nearest")
+    gy, gx = np.gradient(smoothed)
+    sxx = gaussian_filter(gx * gx, 1.5 * sigma, mode="nearest")
+    sxy = gaussian_filter(gx * gy, 1.5 * sigma, mode="nearest")
+    syy = gaussian_filter(gy * gy, 1.5 * sigma, mode="nearest")
+    return (sxx * syy - sxy * sxy) - k * (sxx + syy) ** 2
+
+
+def reference_subpixel_refine(response: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Quadratic peak interpolation, clamped to half a pixel per axis."""
+    u, v = float(col), float(row)
+    if 0 < col < response.shape[1] - 1:
+        left, mid, right = response[row, col - 1], response[row, col], response[row, col + 1]
+        denom = left - 2.0 * mid + right
+        if abs(denom) > 1e-12:
+            u += float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
+    if 0 < row < response.shape[0] - 1:
+        top, mid, bot = response[row - 1, col], response[row, col], response[row + 1, col]
+        denom = top - 2.0 * mid + bot
+        if abs(denom) > 1e-12:
+            v += float(np.clip(0.5 * (top - bot) / denom, -0.5, 0.5))
+    return np.array([u, v])
+
+
+def reference_describe(
+    gx: np.ndarray, gy: np.ndarray, keypoint_uv: np.ndarray, sigma: float
+) -> np.ndarray | None:
+    """128-dim gradient-orientation patch descriptor (4x4 cells x 8 bins).
+
+    Samples a 16x16 grid spaced by the detection sigma around the keypoint,
+    using bilinear interpolation of the precomputed image gradients.  Returns
+    None when the support window leaves the image or the patch is flat.
+    """
+    H, W = gx.shape
+    u0, v0 = keypoint_uv
+    offsets = (np.arange(16) - 7.5) * sigma
+    us = u0 + offsets[None, :] + np.zeros((16, 1))
+    vs = v0 + offsets[:, None] + np.zeros((1, 16))
+    if us.min() < 0 or us.max() > W - 2 or vs.min() < 0 or vs.max() > H - 2:
+        return None
+
+    uf = np.floor(us).astype(int)
+    vf = np.floor(vs).astype(int)
+    au = us - uf
+    av = vs - vf
+
+    def sample(img: np.ndarray) -> np.ndarray:
+        return (
+            img[vf, uf] * (1 - au) * (1 - av)
+            + img[vf, uf + 1] * au * (1 - av)
+            + img[vf + 1, uf] * (1 - au) * av
+            + img[vf + 1, uf + 1] * au * av
+        )
+
+    gx_s = sample(gx)
+    gy_s = sample(gy)
+    mag = np.hypot(gx_s, gy_s)
+    ori = np.arctan2(gy_s, gx_s)  # [-pi, pi]
+
+    bins = np.floor((ori + np.pi) / (2.0 * np.pi) * 8.0).astype(int) % 8
+    desc = np.zeros((4, 4, 8))
+    for block_row in range(4):
+        for block_col in range(4):
+            sub_bins = bins[block_row * 4 : block_row * 4 + 4, block_col * 4 : block_col * 4 + 4]
+            sub_mag = mag[block_row * 4 : block_row * 4 + 4, block_col * 4 : block_col * 4 + 4]
+            desc[block_row, block_col] = np.bincount(
+                sub_bins.ravel(), weights=sub_mag.ravel(), minlength=8
+            )
+    flat = desc.reshape(-1)
+    norm = float(np.linalg.norm(flat))
+    if norm < 1e-12:
+        return None
+    return flat / norm
+
+
+def reference_detect(
+    image: np.ndarray, config: DetectorConfig | None = None
+) -> tuple[Keypoints, np.ndarray]:
+    """The per-peak, per-keypoint detector, kept as the reference for
+    ``detect_and_describe``: one refine call per peak, candidate tuples, a
+    grid for NMS, one describe call per keypoint, and each scale smoothed
+    again for the descriptor gradients."""
+    config = config or DetectorConfig()
+    gray = to_grayscale(image)
+    if min(gray.shape) < MIN_IMAGE_DIM:
+        raise ValueError(
+            f"image must be at least {MIN_IMAGE_DIM}px on each side, got {gray.shape}"
+        )
+
+    candidates: list[tuple[float, float, float, np.ndarray]] = []  # score, v, u, (u, v, sigma)
+    global_max = 0.0
+    responses = {}
+    for sigma in config.scales:
+        resp = reference_harris_response(gray, sigma, config.harris_k)
+        responses[sigma] = resp
+        global_max = max(global_max, float(resp.max(initial=0.0)))
+    if global_max <= config.abs_threshold:
+        return Keypoints.empty(), np.zeros((0, DESCRIPTOR_DIM))
+
+    threshold = max(config.abs_threshold, config.rel_threshold * global_max)
+    for sigma in config.scales:
+        resp = responses[sigma]
+        # 3x3 local maxima above threshold.
+        interior = resp[1:-1, 1:-1]
+        is_peak = (
+            (interior >= resp[:-2, :-2]) & (interior >= resp[:-2, 1:-1]) & (interior >= resp[:-2, 2:])
+            & (interior >= resp[1:-1, :-2]) & (interior >= resp[1:-1, 2:])
+            & (interior >= resp[2:, :-2]) & (interior >= resp[2:, 1:-1]) & (interior >= resp[2:, 2:])
+            & (interior > threshold)
+        )
+        rows, cols = np.nonzero(is_peak)
+        for row, col in zip(rows + 1, cols + 1):
+            uv = reference_subpixel_refine(resp, row, col)
+            score = float(resp[row, col] / global_max)
+            candidates.append((score, uv[1], uv[0], np.array([uv[0], uv[1], sigma])))
+
+    # Greedy NMS across scales: strongest first, suppress within nms_radius.
+    # A coarse occupancy grid keeps the neighbor search O(1) per candidate.
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    kept: list[tuple[float, np.ndarray]] = []
+    cell = max(config.nms_radius, 1.0)
+    r2 = config.nms_radius**2
+    occupied: dict[tuple[int, int], list[np.ndarray]] = {}
+    for score, _, _, packed in candidates:
+        uv = packed[:2]
+        key = (int(uv[0] // cell), int(uv[1] // cell))
+        suppressed = False
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for other in occupied.get((key[0] + dx, key[1] + dy), ()):
+                    if float(np.sum((uv - other) ** 2)) < r2:
+                        suppressed = True
+                        break
+                if suppressed:
+                    break
+            if suppressed:
+                break
+        if suppressed:
+            continue
+        kept.append((score, packed))
+        occupied.setdefault(key, []).append(uv)
+        if len(kept) >= 4 * config.max_keypoints:
+            break
+
+    gradients = {}
+    for sigma in config.scales:
+        gy, gx = np.gradient(gaussian_filter(gray, sigma, mode="nearest"))
+        gradients[sigma] = (gx, gy)
+    rows: list[np.ndarray] = []  # (u, v, sigma)
+    scores: list[float] = []
+    descriptors: list[np.ndarray] = []
+    for score, packed in kept:
+        uv, sigma = packed[:2], float(packed[2])
+        gx, gy = gradients[sigma]
+        desc = reference_describe(gx, gy, uv, sigma)
+        if desc is None:
+            continue
+        rows.append(packed)
+        scores.append(score)
+        descriptors.append(desc)
+        if len(rows) >= config.max_keypoints:
+            break
+    table = np.reshape(rows, (-1, 3))
+    keypoints = Keypoints(positions=table[:, :2], scales=table[:, 2], scores=scores)
+    return keypoints, np.reshape(descriptors, (-1, DESCRIPTOR_DIM))
+
+
+@pytest.fixture(scope="module")
+def detector_images(render_pair, small_scene, small_trajectory, cam):
+    """Three renders of the shared scene, a soft square and a constant image."""
+    _, out_ref, _, out_query = render_pair
+    mid = small_trajectory.poses[len(small_trajectory) // 2]
+    return {
+        "render_ref": out_ref.rgb,
+        "render_query": out_query.rgb,
+        "render_mid": render(small_scene, mid, cam).rgb,
+        "square": square_image(),
+        "constant": np.full((64, 64, 3), 0.5),
+    }
+
+
+DETECTOR_CONFIGS = {
+    "defaults": DetectorConfig(),
+    "low_threshold": DetectorConfig(abs_threshold=1e-12, rel_threshold=1e-3),
+    "max_keypoints_5": DetectorConfig(max_keypoints=5),
+    "max_keypoints_0": DetectorConfig(max_keypoints=0),  # the loops still keep one
+    "nms_radius_half": DetectorConfig(nms_radius=0.5),
+    "one_scale": DetectorConfig(scales=(2.0,)),
+}
+
+
+class TestDetectorMatchesReference:
+    """The array detector returns the former loop's keypoints and descriptors
+    bit for bit, in order."""
+
+    @pytest.mark.parametrize("config_name", list(DETECTOR_CONFIGS))
+    @pytest.mark.parametrize(
+        "image_name", ["render_ref", "render_query", "render_mid", "square", "constant"]
+    )
+    def test_same_bytes(self, detector_images, image_name, config_name):
+        image = detector_images[image_name]
+        config = DETECTOR_CONFIGS[config_name]
+        kps, desc = detect_and_describe(image, config)
+        ref_kps, ref_desc = reference_detect(image, config)
+        for got, expected in (
+            (kps.positions, ref_kps.positions),
+            (kps.scales, ref_kps.scales),
+            (kps.scores, ref_kps.scores),
+            (desc, ref_desc),
+        ):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert (len(kps) == 0) == (image_name == "constant")
 
 
 # ===========================================================================

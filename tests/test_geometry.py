@@ -30,8 +30,9 @@ from splatreloc.geometry import (
     quat_normalize,
     quat_rotation_angle,
     quat_to_matrix,
-    random_unit_quaternion,
 )
+
+from conftest import random_unit_quaternion
 
 
 def to_scipy(q_wxyz: np.ndarray) -> Rotation:

@@ -19,7 +19,7 @@ from splatreloc import (
     solve_pnp,
     umeyama_align,
 )
-from splatreloc.geometry import quat_from_rotvec, random_unit_quaternion
+from splatreloc.geometry import quat_from_rotvec
 from splatreloc.pnp import (
     BundleAdjustConfig,
     _control_points,
@@ -27,6 +27,8 @@ from splatreloc.pnp import (
     apply_delta,
     reprojection_residuals,
 )
+
+from conftest import random_unit_quaternion
 
 CAM = CameraIntrinsics(fx=250.0, fy=250.0, cx=160.0, cy=120.0, width=320, height=240)
 

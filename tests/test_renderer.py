@@ -16,7 +16,7 @@ from splatreloc import (
     save_depth,
     save_ppm,
 )
-from splatreloc.geometry import quat_from_axis_angle, quat_to_matrix, random_unit_quaternion
+from splatreloc.geometry import quat_from_axis_angle, quat_to_matrix
 from splatreloc.renderer import (
     COV2D_REGULARIZATION,
     DEPTH_VALID_OPACITY,
@@ -26,7 +26,7 @@ from splatreloc.renderer import (
     _project_arrays,
 )
 
-from conftest import scene_from
+from conftest import random_unit_quaternion, scene_from
 
 
 def isotropic(mean, scale, opacity=0.8, color=(1.0, 1.0, 1.0)):
