@@ -23,12 +23,10 @@ from .errors import (
 )
 from .evaluation import (
     AteStats,
-    TimingReport,
     ate_statistics,
     error_histogram,
     pose_errors,
     recall_at,
-    timing_report,
     write_ate_csv,
 )
 from .features import (
@@ -69,7 +67,6 @@ from .pnp import (
 from .relocalize import (
     ExternalMatcher,
     IterationTrace,
-    MatchOutcome,
     OracleMatcher,
     ReferenceMatcher,
     RelocalizationResult,
@@ -77,7 +74,6 @@ from .relocalize import (
     lift_to_3d,
     relocalize,
     save_result,
-    save_result_timings,
 )
 from .renderer import (
     RenderOutput,
@@ -95,5 +91,6 @@ from .scene import (
     load_splat_scene,
     save_splat_scene,
 )
+from .spans import recording, traced
 
 __version__ = "0.1.0"

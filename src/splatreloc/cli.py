@@ -7,9 +7,13 @@ Subcommands:
   * ``evaluate``      summarize pose accuracy and timing for a results batch
 
 Every command is deterministic given its flags and seed; output files carry
-no timestamps or wall-clock values (timings go to a separate sidecar), so
-reruns produce byte-identical artifacts.  A JSON config file can supply any
-long-flag value (keys use underscores); explicit flags win over the file.
+no timestamps or wall-clock values, so reruns produce byte-identical
+artifacts.  The exception is the ``<query>.timing.json`` sidecar that
+``relocalize`` writes next to each result: the query's time per stage in ms,
+summed from the spans the library records (``spans.py``); ``evaluate``
+averages the sidecars per iteration into ``timing.json``.  A JSON config
+file can supply any long-flag value (keys use underscores); explicit flags
+win over the file.
 """
 
 from __future__ import annotations
@@ -29,20 +33,17 @@ from .evaluation import (
     make_pose_trajectories,
     pose_errors,
     recall_at,
-    timing_report,
     write_ate_csv,
 )
 from .features import OracleConfig
 from .geometry import CameraIntrinsics, Pose, load_trajectory, save_trajectory
 from .relocalize import (
     ExternalMatcher,
-    IterationTrace,
     OracleMatcher,
     ReferenceMatcher,
     RelocalizeConfig,
     relocalize,
     save_result,
-    save_result_timings,
 )
 from .renderer import load_ppm
 from .scene import (
@@ -52,6 +53,17 @@ from .scene import (
     load_splat_scene,
     save_splat_scene,
 )
+from .spans import recording
+
+#: Timing-report stage of each library span; spans not named here are not reported.
+_SPAN_STAGE = {
+    "features.detect_and_describe": "detect",
+    "features.match_features": "match",
+    "features.oracle_match": "match",
+    "features.load_matches": "match",
+    "pnp.solve_pnp": "pnp",
+    "renderer.render": "render",
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -181,9 +193,16 @@ def _cmd_relocalize(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"unknown matcher {matcher_kind!r}")
 
-        result = relocalize(query_image, scene, db, matcher, loop_config)
+        with recording() as spans:
+            result = relocalize(query_image, scene, db, matcher, loop_config)
         save_result(out_dir / f"{query_id}.json", result, query_id=query_id)
-        save_result_timings(out_dir / f"{query_id}.timing.json", result)
+        stage_ms = dict.fromkeys(_SPAN_STAGE.values(), 0.0)
+        for name, start_ns, end_ns in spans:
+            if name in _SPAN_STAGE:
+                stage_ms[_SPAN_STAGE[name]] += (end_ns - start_ns) / 1e6
+        (out_dir / f"{query_id}.timing.json").write_text(
+            json.dumps(stage_ms, sort_keys=True, indent=2) + "\n"
+        )
         note = f" ({result.message})" if result.message else ""
         print(
             f"relocalize {query_id}: {result.status} "
@@ -213,7 +232,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     entries = []
     statuses: dict[str, int] = {}
-    timing_traces: list[IterationTrace] = []
+    stage_ms = dict.fromkeys(_SPAN_STAGE.values(), 0.0)
+    timed_iterations = 0  # iterations of the results that have a sidecar
     for path in result_files:
         payload = json.loads(path.read_text())
         query_id = payload.get("query_id", path.stem)
@@ -228,15 +248,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
         timing_path = path.with_name(path.stem + ".timing.json")
         if timing_path.exists():
-            for tr in json.loads(timing_path.read_text())["traces"]:
-                timing_traces.append(
-                    IterationTrace(
-                        iteration=tr["iteration"], pose=Pose.identity(), match_count=0,
-                        mean_confidence=0.0, uniformity=0.0, trans_delta=0.0, rot_delta=0.0,
-                        detect_ms=tr["detect_ms"], match_ms=tr["match_ms"],
-                        pnp_ms=tr["pnp_ms"], render_ms=tr["render_ms"],
-                    )
-                )
+            sidecar = json.loads(timing_path.read_text())
+            if not isinstance(sidecar, dict) or not set(stage_ms) <= set(sidecar):
+                raise ValueError(f"{timing_path.name}: expected per-stage totals {sorted(stage_ms)}")
+            for stage in stage_ms:
+                stage_ms[stage] += float(sidecar[stage])
+            timed_iterations += payload["iterations"]
 
     est_traj, gt_traj = make_pose_trajectories(entries)
     _, trans_errors, rot_errors = pose_errors(est_traj, gt_traj, align=align)
@@ -288,11 +305,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         json.dumps(histogram_payload, sort_keys=True, indent=2) + "\n"
     )
 
-    report = timing_report(timing_traces)
     timing_payload = {
-        "stage_mean_ms": {k: report.stage_mean_ms[k] for k in sorted(report.stage_mean_ms)},
-        "stage_count": {k: report.stage_count[k] for k in sorted(report.stage_count)},
-        "total_seconds": report.total_seconds,
+        "stage_mean_ms": {
+            stage: total / timed_iterations if timed_iterations else 0.0
+            for stage, total in stage_ms.items()
+        },
+        "stage_count": dict.fromkeys(stage_ms, timed_iterations),
+        "total_seconds": sum(stage_ms.values()) / 1e3,
     }
     (out_dir / "timing.json").write_text(
         json.dumps(timing_payload, sort_keys=True, indent=2) + "\n"

@@ -1,4 +1,7 @@
-"""Accuracy and timing evaluation for batches of relocalization results.
+"""Accuracy evaluation for batches of relocalization results.
+
+Stage timing is not computed here: the library records spans (``spans.py``)
+and the ``evaluate`` command averages the per-query totals they produce.
 
 Conventions:
   * translation errors in meters, rotation errors in degrees,
@@ -19,7 +22,6 @@ import numpy as np
 
 from .geometry import Pose, Trajectory, pose_delta
 from .pnp import umeyama_align
-from .relocalize import IterationTrace
 
 
 @dataclass(frozen=True)
@@ -119,40 +121,6 @@ def error_histogram(
     )
     overflow = int(values.size - counts.sum())
     return counts, overflow
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    """Per-stage wall-clock summary across all relocalization iterations."""
-
-    stage_mean_ms: dict[str, float]
-    stage_count: dict[str, int]
-    total_seconds: float
-
-
-_STAGES = ("detect", "match", "pnp", "render")
-
-
-def timing_report(traces: list[IterationTrace]) -> TimingReport:
-    """Mean per-stage milliseconds and overall wall-clock total."""
-    if not traces:
-        return TimingReport(
-            stage_mean_ms={s: 0.0 for s in _STAGES},
-            stage_count={s: 0 for s in _STAGES},
-            total_seconds=0.0,
-        )
-    sums = {
-        "detect": sum(t.detect_ms for t in traces),
-        "match": sum(t.match_ms for t in traces),
-        "pnp": sum(t.pnp_ms for t in traces),
-        "render": sum(t.render_ms for t in traces),
-    }
-    n = len(traces)
-    return TimingReport(
-        stage_mean_ms={s: sums[s] / n for s in _STAGES},
-        stage_count={s: n for s in _STAGES},
-        total_seconds=sum(sums.values()) / 1e3,
-    )
 
 
 def write_ate_csv(path: str | Path, rows: list[tuple[str, AteStats]]) -> None:

@@ -27,6 +27,7 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import MatchFileError
 from .geometry import CameraIntrinsics, Pose
+from .spans import traced
 
 MIN_IMAGE_DIM = 32
 DESCRIPTOR_DIM = 128
@@ -118,6 +119,14 @@ class DetectorConfig:
     abs_threshold: float = 1e-10
     nms_radius: float = 4.0
     max_keypoints: int = 2048
+
+    def __post_init__(self) -> None:
+        if self.max_keypoints < 1:
+            raise ValueError("max_keypoints must be >= 1")
+        if self.nms_radius < 0.0:
+            raise ValueError("nms_radius must be non-negative")
+        if not self.scales or min(self.scales) <= 0.0:
+            raise ValueError("scales must be a non-empty tuple of positive sigmas")
 
 
 @dataclass(frozen=True)
@@ -257,6 +266,7 @@ def _describe(
     return descriptors, valid
 
 
+@traced("features.detect_and_describe")
 def detect_and_describe(
     image: np.ndarray, config: DetectorConfig | None = None
 ) -> tuple[Keypoints, np.ndarray]:
@@ -295,17 +305,17 @@ def detect_and_describe(
         at = level[kept] == i
         descriptors[at], valid[at] = _describe(gx, gy, positions[kept[at]], sigma)
 
-    # The first valid survivors; like NMS, the cap keeps at least one.
-    limit = max(config.max_keypoints, 1)
-    chosen = kept[valid][:limit]
+    # The first max_keypoints survivors whose window could be described.
+    chosen = kept[valid][: config.max_keypoints]
     keypoints = Keypoints(
         positions=positions[chosen],
         scales=np.array(config.scales, dtype=np.float64)[level[chosen]],
         scores=scores[chosen],
     )
-    return keypoints, descriptors[valid][:limit]
+    return keypoints, descriptors[valid][: config.max_keypoints]
 
 
+@traced("features.match_features")
 def match_features(
     keypoints_a: Keypoints,
     descriptors_a: np.ndarray,
@@ -403,6 +413,7 @@ class OracleConfig:
             raise ValueError("pixel_noise_sigma must be non-negative")
 
 
+@traced("features.oracle_match")
 def oracle_match(
     query_pose_gt: Pose,
     ref_pose: Pose,
@@ -487,6 +498,7 @@ def save_matches(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@traced("features.load_matches")
 def load_matches(
     path: str | Path,
     query_size: tuple[int, int],

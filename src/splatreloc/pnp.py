@@ -47,6 +47,7 @@ from .geometry import (
     quat_multiply,
     quat_to_matrix,
 )
+from .spans import traced
 
 MIN_CORRESPONDENCES = 6
 #: Tetrahedron volume below which control points count as coplanar (m^3).
@@ -507,6 +508,7 @@ class RansacConfig:
     refine: BundleAdjustConfig = BundleAdjustConfig()
 
 
+@traced("pnp.solve_pnp")
 def solve_pnp(
     corrs: Correspondences,
     cam: CameraIntrinsics,

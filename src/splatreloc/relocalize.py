@@ -18,7 +18,6 @@ estimate).  Every completed iteration leaves a diagnostic trace.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -80,21 +79,12 @@ def lift_to_3d(
     return Correspondences(pixels=query, points=anchor.pose.apply(cam.backproject(ref, d)))
 
 
-@dataclass
-class MatchOutcome:
-    """Matches plus the wall-clock cost of producing them."""
-
-    matches: Matches
-    detect_ms: float = 0.0
-    match_ms: float = 0.0
-
-
 class Matcher(Protocol):
     """Pluggable query-to-render matching strategy."""
 
     def match_pair(
         self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
-    ) -> MatchOutcome: ...
+    ) -> Matches: ...
 
 
 class ReferenceMatcher:
@@ -119,18 +109,10 @@ class ReferenceMatcher:
 
     def match_pair(
         self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
-    ) -> MatchOutcome:
-        t0 = time.perf_counter()
+    ) -> Matches:
         kp_q, desc_q = self._query_features(query_image)
         kp_r, desc_r = detect_and_describe(reference.rgb, self.detector)
-        t1 = time.perf_counter()
-        matches = match_features(kp_q, desc_q, kp_r, desc_r, self.matcher)
-        t2 = time.perf_counter()
-        return MatchOutcome(
-            matches=matches,
-            detect_ms=(t1 - t0) * 1e3,
-            match_ms=(t2 - t1) * 1e3,
-        )
+        return match_features(kp_q, desc_q, kp_r, desc_r, self.matcher)
 
 
 class OracleMatcher:
@@ -148,20 +130,19 @@ class OracleMatcher:
 
     def match_pair(
         self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
-    ) -> MatchOutcome:
-        t0 = time.perf_counter()
+    ) -> Matches:
         rng = np.random.default_rng([self.config.seed, iteration])
         matches, _ = oracle_match(
             self.query_pose_gt, reference.pose, reference.depth, self.cam, self.config, rng
         )
-        return MatchOutcome(matches=matches, match_ms=(time.perf_counter() - t0) * 1e3)
+        return matches
 
 
 class ExternalMatcher:
     """Reads per-iteration match files produced by an outside tool.
 
     Expects ``<query_id>_iter<k>.matches`` inside ``directory``; a missing
-    file yields an empty outcome (the loop then reports a failed status).
+    file yields no matches (the loop then reports a failed status).
     """
 
     def __init__(self, directory: str | Path, query_id: str, cam: CameraIntrinsics) -> None:
@@ -171,14 +152,12 @@ class ExternalMatcher:
 
     def match_pair(
         self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
-    ) -> MatchOutcome:
-        t0 = time.perf_counter()
+    ) -> Matches:
         path = self.directory / f"{self.query_id}_iter{iteration}.matches"
         if not path.exists():
-            return MatchOutcome(matches=Matches.empty(), match_ms=(time.perf_counter() - t0) * 1e3)
+            return Matches.empty()
         size = (self.cam.width, self.cam.height)
-        matches = load_matches(path, size, size)
-        return MatchOutcome(matches=matches, match_ms=(time.perf_counter() - t0) * 1e3)
+        return load_matches(path, size, size)
 
 
 @dataclass(frozen=True)
@@ -206,10 +185,6 @@ class IterationTrace:
     # Consensus of this iteration's pose solve; None when no solve succeeded.
     inlier_count: int | None = None
     mean_reprojection_error: float | None = None  # pixels, over the inliers
-    detect_ms: float = 0.0
-    match_ms: float = 0.0
-    pnp_ms: float = 0.0
-    render_ms: float = 0.0
 
 
 @dataclass
@@ -222,10 +197,9 @@ class RelocalizationResult:
     traces: list[IterationTrace] = field(default_factory=list)
     message: str = ""
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        traces = []
-        for tr in self.traces:
-            entry = {
+    def to_dict(self) -> dict:
+        traces = [
+            {
                 "iteration": tr.iteration,
                 "pose": [float(v) for v in tr.pose.as_array()],
                 "match_count": tr.match_count,
@@ -236,14 +210,8 @@ class RelocalizationResult:
                 "inlier_count": tr.inlier_count,
                 "mean_reprojection_error": tr.mean_reprojection_error,
             }
-            if include_timings:
-                entry.update(
-                    detect_ms=tr.detect_ms,
-                    match_ms=tr.match_ms,
-                    pnp_ms=tr.pnp_ms,
-                    render_ms=tr.render_ms,
-                )
-            traces.append(entry)
+            for tr in self.traces
+        ]
         return {
             "status": self.status,
             "anchor_id": self.anchor_id,
@@ -251,20 +219,6 @@ class RelocalizationResult:
             "final_pose": [float(v) for v in self.final_pose.as_array()],
             "iterations": len(self.traces),
             "traces": traces,
-        }
-
-    def timings_dict(self) -> dict:
-        return {
-            "traces": [
-                {
-                    "iteration": tr.iteration,
-                    "detect_ms": tr.detect_ms,
-                    "match_ms": tr.match_ms,
-                    "pnp_ms": tr.pnp_ms,
-                    "render_ms": tr.render_ms,
-                }
-                for tr in self.traces
-            ]
         }
 
 
@@ -296,13 +250,10 @@ def relocalize(
         )
 
     for iteration in range(1, config.max_iterations + 1):
-        render_ms = 0.0
         if iteration == 1:
             reference = anchor
         else:
-            t0 = time.perf_counter()
             out = render(scene, current, cam)
-            render_ms = (time.perf_counter() - t0) * 1e3
             reference = AnchorRecord(
                 anchor_id=-1,
                 source_index=-1,
@@ -313,17 +264,16 @@ def relocalize(
             )
 
         try:
-            outcome = matcher.match_pair(query_image, reference, iteration)
+            matches = matcher.match_pair(query_image, reference, iteration)
         except MatchFileError as exc:
             traces.append(
                 IterationTrace(
                     iteration=iteration, pose=current, match_count=0,
-                    mean_confidence=0.0, uniformity=0.0,
-                    trans_delta=0.0, rot_delta=0.0, render_ms=render_ms,
+                    mean_confidence=0.0, uniformity=0.0, trans_delta=0.0, rot_delta=0.0,
                 )
             )
             return finish(STATUS_FAILED, f"iteration {iteration}: {exc}")
-        stats = match_stats(outcome.matches, cam)
+        stats = match_stats(matches, cam)
 
         def failed_trace(reason: str) -> RelocalizationResult:
             traces.append(
@@ -331,8 +281,6 @@ def relocalize(
                     iteration=iteration, pose=current,
                     match_count=stats.count, mean_confidence=stats.mean_confidence,
                     uniformity=stats.uniformity, trans_delta=0.0, rot_delta=0.0,
-                    detect_ms=outcome.detect_ms, match_ms=outcome.match_ms,
-                    render_ms=render_ms,
                 )
             )
             return finish(STATUS_FAILED, f"iteration {iteration}: {reason}")
@@ -342,18 +290,16 @@ def relocalize(
                 f"{stats.count} matches < min_matches {config.min_matches}"
             )
 
-        corrs = lift_to_3d(outcome.matches, reference, cam)
+        corrs = lift_to_3d(matches, reference, cam)
         if len(corrs) < config.min_matches:
             return failed_trace(
                 f"{len(corrs)} lifted correspondences < min_matches {config.min_matches}"
             )
 
-        t0 = time.perf_counter()
         try:
             report = solve_pnp(corrs, cam, config.ransac)
         except SplatRelocError as exc:
             return failed_trace(f"pose solve failed: {exc}")
-        pnp_ms = (time.perf_counter() - t0) * 1e3
 
         trans_delta, rot_delta = pose_delta(report.pose, current)
         current = report.pose
@@ -365,8 +311,6 @@ def relocalize(
                 trans_delta=trans_delta, rot_delta=rot_delta,
                 inlier_count=report.inlier_count,
                 mean_reprojection_error=report.mean_reprojection_error,
-                detect_ms=outcome.detect_ms, match_ms=outcome.match_ms,
-                pnp_ms=pnp_ms, render_ms=render_ms,
             )
         )
         if trans_delta <= config.trans_eps and rot_delta <= config.rot_eps:
@@ -377,12 +321,7 @@ def relocalize(
 
 def save_result(path: str | Path, result: RelocalizationResult, query_id: str | None = None) -> None:
     """Write the result JSON (no wall-clock fields, so reruns are identical)."""
-    payload = result.to_dict(include_timings=False)
+    payload = result.to_dict()
     if query_id is not None:
         payload["query_id"] = query_id
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def save_result_timings(path: str | Path, result: RelocalizationResult) -> None:
-    """Write the wall-clock sidecar for the timing report."""
-    Path(path).write_text(json.dumps(result.timings_dict(), sort_keys=True, indent=2) + "\n")

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ImageFormatError
 from .geometry import CameraIntrinsics, Pose
 from .scene import SplatScene
+from .spans import traced
 
 #: Diagonal regularization added to every screen-space covariance (px^2).
 COV2D_REGULARIZATION = 0.3
@@ -138,6 +139,7 @@ def _project_arrays(
     return keep, mean2d, cov2d, z, radius
 
 
+@traced("renderer.render")
 def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput:
     """Rasterize the scene from `pose` into RGB, depth, and opacity images."""
     H, W = cam.height, cam.width

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from splatreloc import (
+    Pose,
+    Trajectory,
     generate_synthetic_scene,
     load_anchor_db,
     load_splat_scene,
@@ -152,7 +154,12 @@ class TestRelocalizeCommand:
         assert payload["status"] == "converged"
         assert len(payload["final_pose"]) == 7
         timing = json.loads((out / "0.timing.json").read_text())
-        assert len(timing["traces"]) == payload["iterations"]
+        assert set(timing) == {"detect", "match", "pnp", "render"}
+        assert all(isinstance(ms, float) and ms >= 0.0 for ms in timing.values())
+        # Every iteration matches and solves; iterations after the first also render.
+        assert timing["match"] > 0.0 and timing["pnp"] > 0.0
+        assert timing["detect"] == 0.0  # the oracle matcher detects nothing
+        assert (timing["render"] > 0.0) == (payload["iterations"] > 1)
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         """The result JSON contains no wall-clock data, so reruns match exactly."""
@@ -220,6 +227,74 @@ class TestEvaluateCommand:
         assert set(payload) == {"stage_mean_ms", "stage_count", "total_seconds"}
         assert set(payload["stage_mean_ms"]) == {"detect", "match", "pnp", "render"}
         assert payload["total_seconds"] > 0.0
+
+
+def evaluate_args(tmp_path, results):
+    """`evaluate` arguments over hand-written results.
+
+    ``results`` holds one ``(iterations, sidecar)`` pair per query, where the
+    sidecar is the per-stage totals in ms, or None for a result without one.
+    """
+    results_dir = tmp_path / "results"
+    results_dir.mkdir()
+    gt = Trajectory()
+    for index, (iterations, sidecar) in enumerate(results):
+        gt.append(index, Pose.identity())
+        payload = {
+            "query_id": str(index),
+            "status": "converged",
+            "iterations": iterations,
+            "final_pose": [float(v) for v in Pose.identity().as_array()],
+        }
+        (results_dir / f"{index}.json").write_text(json.dumps(payload))
+        if sidecar is not None:
+            (results_dir / f"{index}.timing.json").write_text(json.dumps(sidecar))
+    save_trajectory(tmp_path / "gt.txt", gt)
+    return ["evaluate", "--results", str(results_dir), "--gt", str(tmp_path / "gt.txt"),
+            "--out-dir", str(tmp_path / "eval")]
+
+
+def evaluate_timing(tmp_path, results):
+    """``timing.json`` of `evaluate` over hand-written results (see `evaluate_args`)."""
+    assert main(evaluate_args(tmp_path, results)) == 0
+    return json.loads((tmp_path / "eval" / "timing.json").read_text())
+
+
+def stages(detect, match, pnp, render):
+    return {"detect": detect, "match": match, "pnp": pnp, "render": render}
+
+
+class TestEvaluateTiming:
+    def test_hand_case(self, tmp_path):
+        """10/30/2/6 ms per iteration over 2 + 3 iterations: per-stage means, summed total."""
+        payload = evaluate_timing(
+            tmp_path, [(2, stages(20.0, 60.0, 4.0, 12.0)), (3, stages(30.0, 90.0, 6.0, 18.0))]
+        )
+        assert payload["stage_mean_ms"] == stages(10.0, 30.0, 2.0, 6.0)
+        assert payload["stage_count"] == stages(5, 5, 5, 5)
+        assert payload["total_seconds"] == pytest.approx(0.24, abs=1e-12)
+
+    def test_mixed_iterations(self, tmp_path):
+        """Only the iterations of results that have a sidecar count."""
+        payload = evaluate_timing(
+            tmp_path,
+            [(1, stages(0.0, 10.0, 5.0, 0.0)), (1, stages(0.0, 20.0, 15.0, 40.0)), (3, None)],
+        )
+        assert payload["stage_mean_ms"]["match"] == pytest.approx(15.0)
+        assert payload["stage_mean_ms"]["render"] == pytest.approx(20.0)
+        assert payload["stage_count"] == stages(2, 2, 2, 2)
+        assert payload["total_seconds"] == pytest.approx(0.09)
+
+    def test_empty(self, tmp_path):
+        payload = evaluate_timing(tmp_path, [(4, None)])
+        assert payload["total_seconds"] == 0.0
+        assert payload["stage_mean_ms"] == stages(0.0, 0.0, 0.0, 0.0)
+        assert payload["stage_count"] == stages(0, 0, 0, 0)
+
+    def test_sidecar_without_stage_totals_is_an_error(self, tmp_path, capsys):
+        """A sidecar in the former per-iteration layout is reported, not misread."""
+        assert main(evaluate_args(tmp_path, [(1, {"traces": []})])) == 1
+        assert "0.timing.json: expected per-stage totals" in capsys.readouterr().err
 
 
 class TestErrorHandling:

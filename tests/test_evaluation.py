@@ -1,4 +1,4 @@
-"""Tests for trajectory-error statistics, recall, histograms, and timing."""
+"""Tests for trajectory-error statistics, recall, and histograms."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ from numpy.testing import assert_allclose
 
 from splatreloc import (
     AteStats,
-    IterationTrace,
     Pose,
     Trajectory,
     ate_statistics,
     error_histogram,
     pose_errors,
     recall_at,
-    timing_report,
     write_ate_csv,
 )
 from splatreloc.evaluation import make_pose_trajectories
@@ -182,38 +180,6 @@ class TestErrorHistogram:
     def test_single_edge_raises(self):
         with pytest.raises(ValueError, match=">= 2"):
             error_histogram([0.1], [0.2])
-
-
-def trace_with(ms: tuple[float, float, float, float], iteration: int) -> IterationTrace:
-    detect, match, pnp, render = ms
-    return IterationTrace(
-        iteration=iteration, pose=Pose.identity(), match_count=0,
-        mean_confidence=0.0, uniformity=0.0, trans_delta=0.0, rot_delta=0.0,
-        detect_ms=detect, match_ms=match, pnp_ms=pnp, render_ms=render,
-    )
-
-
-class TestTimingReport:
-    def test_hand_case(self):
-        """Five identical iterations: means are per-stage, total sums everything."""
-        traces = [trace_with((10.0, 30.0, 2.0, 6.0), i + 1) for i in range(5)]
-        report = timing_report(traces)
-        assert report.stage_mean_ms == {"detect": 10.0, "match": 30.0, "pnp": 2.0, "render": 6.0}
-        assert report.stage_count == {"detect": 5, "match": 5, "pnp": 5, "render": 5}
-        assert report.total_seconds == pytest.approx(0.24, abs=1e-12)
-
-    def test_mixed_iterations(self):
-        traces = [trace_with((0.0, 10.0, 5.0, 0.0), 1), trace_with((0.0, 20.0, 15.0, 40.0), 2)]
-        report = timing_report(traces)
-        assert report.stage_mean_ms["match"] == pytest.approx(15.0)
-        assert report.stage_mean_ms["render"] == pytest.approx(20.0)
-        assert report.total_seconds == pytest.approx(0.09)
-
-    def test_empty(self):
-        report = timing_report([])
-        assert report.total_seconds == 0.0
-        assert all(v == 0.0 for v in report.stage_mean_ms.values())
-        assert all(v == 0 for v in report.stage_count.values())
 
 
 class TestAteCsv:

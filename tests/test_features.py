@@ -120,6 +120,22 @@ class TestDetector:
         assert len(kps) <= 10
         assert desc.shape[0] == len(kps)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"max_keypoints": 0},
+            {"max_keypoints": -3},
+            {"nms_radius": -0.5},
+            {"scales": ()},
+            {"scales": (1.0, 0.0)},
+            {"scales": (-2.0,)},
+        ],
+        ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()),
+    )
+    def test_bad_config_raises(self, field):
+        with pytest.raises(ValueError):
+            DetectorConfig(**field)
+
     def test_keypoints_inside_image(self, render_pair):
         _, out_ref, _, _ = render_pair
         kps, _ = detect_and_describe(out_ref.rgb)
@@ -330,7 +346,7 @@ DETECTOR_CONFIGS = {
     "defaults": DetectorConfig(),
     "low_threshold": DetectorConfig(abs_threshold=1e-12, rel_threshold=1e-3),
     "max_keypoints_5": DetectorConfig(max_keypoints=5),
-    "max_keypoints_0": DetectorConfig(max_keypoints=0),  # the loops still keep one
+    "max_keypoints_1": DetectorConfig(max_keypoints=1),
     "nms_radius_half": DetectorConfig(nms_radius=0.5),
     "one_scale": DetectorConfig(scales=(2.0,)),
 }
