@@ -8,11 +8,19 @@ The 192-dim global descriptor concatenates an 8x8 block-mean grayscale
 thumbnail (64 values) with a 128-bin gradient-orientation histogram, each
 half L2-normalized before the joint normalization, so it is invariant to
 uniform brightness scaling.
+
+``build_anchor_db`` renders the anchors in worker processes, one per CPU the
+process may run on (at most one per anchor).  Each anchor is rendered by the
+same code as in a single process, so the map is byte-identical whatever the
+worker count.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +28,7 @@ import numpy as np
 
 from .errors import TrajectoryTooShort
 from .geometry import CameraIntrinsics, Pose, Trajectory
+from . import spans
 from .renderer import load_depth, load_ppm, render, save_depth, save_ppm
 from .scene import SplatScene
 from .features import to_grayscale
@@ -108,6 +117,8 @@ def build_anchor_db(
     once it is at least `spacing` from the last kept one.  Gaps between
     consecutive anchors must stay within [0.5, 2] x spacing, which fails only
     when the input trajectory itself is sparser than the requested spacing.
+    The anchors render in ``min(CPUs, anchors)`` worker processes and come
+    back in anchor order, with the bits of a render in this process.
     """
     if spacing <= 0:
         raise ValueError("anchor spacing must be positive")
@@ -136,11 +147,45 @@ def build_anchor_db(
                 "trajectory is too sparse for the requested spacing"
             )
 
-    records = []
-    for anchor_id, (index, pose) in enumerate(picked):
+    # Under fork the workers share the scene copy-on-write; nothing is pickled.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    workers = min(_available_cpus(), len(picked))
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=context, initializer=_init_worker, initargs=(scene, cam)
+    ) as pool:
+        results = list(pool.map(_render_anchor, range(len(picked)), picked))
+    for _, worker_spans in results:
+        spans.extend(worker_spans)
+    return AnchorDatabase(camera=cam, spacing=spacing, records=[rec for rec, _ in results])
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker_inputs: tuple[SplatScene, CameraIntrinsics] | None = None
+
+
+def _init_worker(scene: SplatScene, cam: CameraIntrinsics) -> None:
+    """Runs once in each worker: keep what every anchor is rendered from."""
+    global _worker_inputs
+    _worker_inputs = (scene, cam)
+
+
+def _render_anchor(
+    anchor_id: int, frame: tuple[int, Pose]
+) -> tuple[AnchorRecord, list[spans.Span]]:
+    """One anchor's finished record, plus the spans recorded while rendering it."""
+    index, pose = frame
+    scene, cam = _worker_inputs
+    with spans.recording() as recorded:
         out = render(scene, pose, cam)
-        records.append(_quantize_record(anchor_id, index, pose, out.rgb, out.depth))
-    return AnchorDatabase(camera=cam, spacing=spacing, records=records)
+    return _quantize_record(anchor_id, index, pose, out.rgb, out.depth), recorded
 
 
 def retrieve(query_image: np.ndarray, db: AnchorDatabase) -> int:

@@ -236,6 +236,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     timed_iterations = 0  # iterations of the results that have a sidecar
     for path in result_files:
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path.name}: expected a JSON object")
+        for key in ("status", "final_pose", "iterations"):
+            if key not in payload:
+                raise ValueError(f'{path.name}: missing "{key}"')
         query_id = payload.get("query_id", path.stem)
         try:
             index = int(query_id)

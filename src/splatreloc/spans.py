@@ -5,7 +5,9 @@ installed the wrapper calls straight through.  Inside ``with recording() as
 spans:`` every wrapped call appends ``(name, start_ns, end_ns)`` to
 ``spans`` when it returns or raises; times come from ``time.perf_counter_ns``.
 The sink is a context variable, so a recording sees only the calls made in
-its own thread (or asyncio task).
+its own thread (or asyncio task).  Spans recorded in another process come
+back through ``extend``; ``perf_counter_ns`` reads CLOCK_MONOTONIC on Linux,
+so their times compare with the caller's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 F = TypeVar("F", bound=Callable)
 Span = tuple[str, int, int]
@@ -51,3 +53,10 @@ def recording() -> Iterator[list[Span]]:
         yield spans
     finally:
         _sink.reset(token)
+
+
+def extend(recorded: Iterable[Span]) -> None:
+    """Append spans recorded elsewhere (e.g. a worker process) to the active sink."""
+    sink = _sink.get()
+    if sink is not None:
+        sink.extend(recorded)

@@ -1,6 +1,8 @@
 """Tests for the anchor database: descriptors, subsampling, retrieval, and I/O."""
 
 import json
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from splatreloc import (
     retrieve,
     save_anchor_db,
 )
+from splatreloc import anchors
+from splatreloc.anchors import _quantize_record
 from splatreloc.geometry import Pose, quat_to_matrix
 
 SKY = np.array([0.2, 0.3, 0.4])
@@ -134,6 +138,63 @@ class TestBuildAnchorDb:
         trajectory = straight_trajectory(2, step=7.0)
         with pytest.raises(ValueError, match="gap"):
             build_anchor_db(SplatScene(sky_color=SKY), trajectory, cam, spacing=3.0)
+
+
+def saved_files(db, root: Path) -> dict[str, bytes]:
+    """Every file ``save_anchor_db`` writes for ``db``, by name."""
+    save_anchor_db(root, db)
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+class TestBuildPool:
+    """The anchors render in worker processes with the bits of an in-process render."""
+
+    @pytest.mark.parametrize("cpus", [1, 3, 8])
+    def test_matches_in_process_render(self, small_world, cam, monkeypatch, tmp_path, cpus):
+        scene, trajectory = small_world
+        monkeypatch.setattr(anchors, "_available_cpus", lambda: cpus)
+        workers = []
+
+        class CountingPool(anchors.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(anchors, "ProcessPoolExecutor", CountingPool)
+        db = build_anchor_db(scene, trajectory, cam, spacing=3.0)
+
+        expected = []
+        for anchor_id, index in enumerate([0, 6, 12, 18, 24]):
+            pose = trajectory.pose_for(index)
+            out = render(scene, pose, cam)
+            expected.append(_quantize_record(anchor_id, index, pose, out.rgb, out.depth))
+        assert workers == [min(cpus, len(expected))]
+        assert len(db) == len(expected)
+        for got, want in zip(db.records, expected):
+            assert (got.anchor_id, got.source_index) == (want.anchor_id, want.source_index)
+            for name in ("rgb", "depth", "descriptor"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.pose.as_array().tobytes() == want.pose.as_array().tobytes()
+
+        in_process = AnchorDatabase(camera=cam, spacing=3.0, records=expected)
+        assert saved_files(db, tmp_path / "pool") == saved_files(in_process, tmp_path / "ref")
+
+    def test_no_worker_outlives_the_build(self, small_world, cam):
+        scene, trajectory = small_world
+        build_anchor_db(scene, trajectory, cam, spacing=3.0)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_reaches_caller(self, small_world, cam, monkeypatch):
+        """A render that raises in a worker raises in the caller, and the pool is gone."""
+
+        def failing_render(*args, **kwargs):
+            raise RuntimeError("render failed in worker")
+
+        monkeypatch.setattr(anchors, "render", failing_render)
+        scene, trajectory = small_world
+        with pytest.raises(RuntimeError, match="render failed in worker"):
+            build_anchor_db(scene, trajectory, cam, spacing=3.0)
+        assert multiprocessing.active_children() == []
 
 
 class TestRetrieve:

@@ -298,6 +298,22 @@ class TestEvaluateTiming:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("key", ["status", "final_pose", "iterations"])
+    def test_evaluate_result_missing_key(self, tmp_path, capsys, key):
+        args = evaluate_args(tmp_path, [(1, None)])
+        result = tmp_path / "results" / "0.json"
+        payload = json.loads(result.read_text())
+        del payload[key]
+        result.write_text(json.dumps(payload))
+        assert main(args) == 1
+        assert capsys.readouterr().err == f'error: 0.json: missing "{key}"\n'
+
+    def test_evaluate_result_not_an_object(self, tmp_path, capsys):
+        args = evaluate_args(tmp_path, [(1, None)])
+        (tmp_path / "results" / "0.json").write_text("[]")
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: 0.json: expected a JSON object\n"
+
     def test_missing_scene_file(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(tmp_path / "nope.gsplat"),

@@ -1,10 +1,12 @@
 """Tests for the library's span hook."""
 
 import threading
+import time
 
 import pytest
 
 from splatreloc import (
+    build_anchor_db,
     detect_and_describe,
     load_matches,
     match_features,
@@ -97,3 +99,13 @@ class TestRecording:
             with pytest.raises(MatchFileError):
                 load_matches(path, (64, 48), (64, 48))
         assert [name for name, _, _ in spans] == ["features.load_matches"]
+
+    def test_worker_renders_reach_the_caller(self, small_world, cam):
+        """Anchor renders run in worker processes; their spans join the caller's sink."""
+        scene, trajectory = small_world
+        start = time.perf_counter_ns()
+        with recording() as spans:
+            db = build_anchor_db(scene, trajectory, cam, spacing=3.0)
+        end = time.perf_counter_ns()
+        assert [name for name, _, _ in spans] == ["renderer.render"] * len(db)
+        assert all(start <= t0 <= t1 <= end for _, t0, t1 in spans)
