@@ -69,6 +69,7 @@ from .relocalize import (
     IterationTrace,
     OracleMatcher,
     ReferenceMatcher,
+    ReferenceView,
     RelocalizationResult,
     RelocalizeConfig,
     lift_to_3d,
@@ -78,10 +79,14 @@ from .relocalize import (
 from .renderer import (
     RenderOutput,
     load_depth,
+    load_depth_f32,
     load_ppm,
+    load_ppm_levels,
     render,
     save_depth,
     save_ppm,
+    save_ppm_levels,
+    to_levels,
 )
 from .scene import (
     DEFAULT_CAMERA,

@@ -4,6 +4,13 @@ Anchors are trajectory poses subsampled at a metric spacing; each stores its
 rendered RGB, rendered depth, and a compact global appearance descriptor.
 Retrieval ranks anchors by cosine similarity of that descriptor.
 
+A record holds its images at the precision ``save_anchor_db`` writes: the
+RGB as (H, W, 3) uint8 levels and the depth as (H, W) float32.  That is 7
+bytes per pixel, 0.54 MB for a 320x240 anchor, against 32 bytes (2.46 MB)
+as float64.  Save and load move those arrays to and from disk unchanged, so
+a reloaded map equals the built one bit for bit.  Code that needs float
+images divides the levels by 255.0 (``relocalize.ReferenceView.of_anchor``).
+
 The 192-dim global descriptor concatenates an 8x8 block-mean grayscale
 thumbnail (64 values) with a 128-bin gradient-orientation histogram, each
 half L2-normalized before the joint normalization, so it is invariant to
@@ -29,7 +36,9 @@ import numpy as np
 from .errors import TrajectoryTooShort
 from .geometry import CameraIntrinsics, Pose, Trajectory
 from . import spans
-from .renderer import load_depth, load_ppm, render, save_depth, save_ppm
+from .renderer import (
+    load_depth_f32, load_ppm_levels, render, save_depth, save_ppm_levels, to_levels,
+)
 from .scene import SplatScene
 from .features import to_grayscale
 
@@ -67,14 +76,38 @@ def global_descriptor(image: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnchorRecord:
-    """One keyframe: pose, stored render, and global descriptor."""
+    """One keyframe: pose, stored render, and global descriptor.
+
+    The arrays are checked once, here; a ``ValueError`` names the bad field.
+    """
 
     anchor_id: int
     source_index: int  # originating trajectory frame index
     pose: Pose
-    rgb: np.ndarray  # (H, W, 3) in [0, 1], quantized to 8-bit levels
-    depth: np.ndarray  # (H, W) meters, float32-rounded; 0 marks sky
-    descriptor: np.ndarray  # (192,)
+    rgb: np.ndarray  # (H, W, 3) uint8 levels; the image is rgb / 255.0
+    depth: np.ndarray  # (H, W) float32 meters; 0 marks sky
+    descriptor: np.ndarray  # (192,), global_descriptor(rgb / 255.0)
+
+    def __post_init__(self) -> None:
+        rgb, depth, descriptor = self.rgb, self.depth, self.descriptor
+        if not (_is_array(rgb, np.uint8) and rgb.ndim == 3 and rgb.shape[2] == 3):
+            raise ValueError(f"rgb must be an (H, W, 3) uint8 array, got {_describe(rgb)}")
+        size = rgb.shape[:2]
+        if not (_is_array(depth, np.float32) and depth.shape == size):
+            raise ValueError(f"depth must be a {size} float32 array, got {_describe(depth)}")
+        if not (_is_array(descriptor) and descriptor.shape == (GLOBAL_DESCRIPTOR_DIM,)):
+            want = f"({GLOBAL_DESCRIPTOR_DIM},)"
+            raise ValueError(f"descriptor must be a {want} array, got {_describe(descriptor)}")
+
+
+def _is_array(value: object, dtype: type | None = None) -> bool:
+    return isinstance(value, np.ndarray) and (dtype is None or value.dtype == dtype)
+
+
+def _describe(value: object) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array of shape {value.shape}"
+    return type(value).__name__
 
 
 @dataclass
@@ -92,16 +125,15 @@ class AnchorDatabase:
 def _quantize_record(
     anchor_id: int, source_index: int, pose: Pose, rgb: np.ndarray, depth: np.ndarray
 ) -> AnchorRecord:
-    """Snap images to their on-disk precision so save/load round-trips exactly."""
-    rgb_q = np.clip(np.round(rgb * 255.0), 0, 255) / 255.0
-    depth_q = depth.astype(np.float32).astype(np.float64)
+    """Record of a float render, kept at its on-disk precision."""
+    levels = to_levels(rgb)
     return AnchorRecord(
         anchor_id=anchor_id,
         source_index=source_index,
         pose=pose,
-        rgb=rgb_q,
-        depth=depth_q,
-        descriptor=global_descriptor(rgb_q),
+        rgb=levels,
+        depth=depth.astype(np.float32),
+        descriptor=global_descriptor(levels / 255.0),
     )
 
 
@@ -205,7 +237,7 @@ def save_anchor_db(path: str | Path, db: AnchorDatabase) -> None:
     for rec in db.records:
         rgb_name = f"anchor_{rec.anchor_id:03d}.ppm"
         depth_name = f"anchor_{rec.anchor_id:03d}.depth"
-        save_ppm(root / rgb_name, rec.rgb)
+        save_ppm_levels(root / rgb_name, rec.rgb)
         save_depth(root / depth_name, rec.depth)
         entries.append(
             {
@@ -253,8 +285,8 @@ def load_anchor_db(path: str | Path) -> AnchorDatabase:
                 anchor_id=entry["id"],
                 source_index=entry["source_index"],
                 pose=Pose.from_array(np.array(entry["pose"])),
-                rgb=load_ppm(root / entry["rgb"]),
-                depth=load_depth(root / entry["depth"]),
+                rgb=load_ppm_levels(root / entry["rgb"]),
+                depth=load_depth_f32(root / entry["depth"]),
                 descriptor=np.array(entry["descriptor"]),
             )
         )

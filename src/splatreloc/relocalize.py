@@ -13,6 +13,11 @@ until the pose update falls below both the translation and rotation
 thresholds (converged), the iteration budget runs out (max_iterations), or
 an iteration cannot produce a usable pose (failed, keeping the best previous
 estimate).  Every completed iteration leaves a diagnostic trace.
+
+Matchers and lifting see each reference as a ``ReferenceView``: its pose and
+float64 RGB and depth.  The first iteration builds it once from the
+retrieved anchor's stored 8-bit levels and float32 depth; later iterations
+take it from the render.
 """
 
 from __future__ import annotations
@@ -48,17 +53,36 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_FAILED = "failed"
 
 
+@dataclass(frozen=True)
+class ReferenceView:
+    """The image a query is matched against, as floats.
+
+    ``rgb`` is (H, W, 3) in [0, 1] and ``depth`` (H, W) meters with 0 marking
+    sky, both float64; ``pose`` is the camera-to-world pose they were
+    rendered from.
+    """
+
+    pose: Pose
+    rgb: np.ndarray
+    depth: np.ndarray
+
+    @classmethod
+    def of_anchor(cls, anchor: AnchorRecord) -> ReferenceView:
+        """A stored anchor's render: its 8-bit levels / 255 and its depth as float64."""
+        return cls(anchor.pose, anchor.rgb / 255.0, anchor.depth.astype(np.float64))
+
+
 def lift_to_3d(
-    matches: Matches, anchor: AnchorRecord, cam: CameraIntrinsics
+    matches: Matches, reference: ReferenceView, cam: CameraIntrinsics
 ) -> Correspondences:
     """Turn 2D-2D matches into 2D-3D correspondences via rendered depth.
 
     The reference pixel's depth is sampled bilinearly; a match is dropped
     when any of its four depth neighbors is invalid (sky) or the sample
     window leaves the image.  Surviving reference pixels are back-projected
-    and mapped through the anchor pose into world coordinates.
+    and mapped through the reference pose into world coordinates.
     """
-    depth = anchor.depth
+    depth = reference.depth
     H, W = depth.shape
     ref, query = matches.ref, matches.query
     u0f, v0f = np.floor(ref[:, 0]), np.floor(ref[:, 1])
@@ -76,14 +100,20 @@ def lift_to_3d(
         + patch[:, 1, 0] * (1 - au) * av
         + patch[:, 1, 1] * au * av
     )
-    return Correspondences(pixels=query, points=anchor.pose.apply(cam.backproject(ref, d)))
+    return Correspondences(pixels=query, points=reference.pose.apply(cam.backproject(ref, d)))
 
 
 class Matcher(Protocol):
-    """Pluggable query-to-render matching strategy."""
+    """Pluggable query-to-render matching strategy.
+
+    ``match_pair`` gets the float query image, the reference of this
+    iteration (the retrieved anchor at iteration 1, a fresh render after it)
+    and the 1-based iteration number; ``Matches.ref`` holds pixels of
+    ``reference``.
+    """
 
     def match_pair(
-        self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
+        self, query_image: np.ndarray, reference: ReferenceView, iteration: int
     ) -> Matches: ...
 
 
@@ -108,7 +138,7 @@ class ReferenceMatcher:
         return keypoints, descriptors
 
     def match_pair(
-        self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
+        self, query_image: np.ndarray, reference: ReferenceView, iteration: int
     ) -> Matches:
         kp_q, desc_q = self._query_features(query_image)
         kp_r, desc_r = detect_and_describe(reference.rgb, self.detector)
@@ -129,7 +159,7 @@ class OracleMatcher:
         self.config = config
 
     def match_pair(
-        self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
+        self, query_image: np.ndarray, reference: ReferenceView, iteration: int
     ) -> Matches:
         rng = np.random.default_rng([self.config.seed, iteration])
         matches, _ = oracle_match(
@@ -151,7 +181,7 @@ class ExternalMatcher:
         self.cam = cam
 
     def match_pair(
-        self, query_image: np.ndarray, reference: AnchorRecord, iteration: int
+        self, query_image: np.ndarray, reference: ReferenceView, iteration: int
     ) -> Matches:
         path = self.directory / f"{self.query_id}_iter{iteration}.matches"
         if not path.exists():
@@ -251,17 +281,10 @@ def relocalize(
 
     for iteration in range(1, config.max_iterations + 1):
         if iteration == 1:
-            reference = anchor
+            reference = ReferenceView.of_anchor(anchor)
         else:
             out = render(scene, current, cam)
-            reference = AnchorRecord(
-                anchor_id=-1,
-                source_index=-1,
-                pose=current,
-                rgb=out.rgb,
-                depth=out.depth,
-                descriptor=np.zeros(0),
-            )
+            reference = ReferenceView(current, out.rgb, out.depth)
 
         try:
             matches = matcher.match_pair(query_image, reference, iteration)

@@ -216,18 +216,29 @@ def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput
     return RenderOutput(rgb=rgb, depth=depth, opacity=opacity)
 
 
+def to_levels(image: np.ndarray) -> np.ndarray:
+    """8-bit levels of an RGB float image in [0, 1]: rounded, clipped, uint8."""
+    return np.clip(np.round(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
+
+
+def save_ppm_levels(path: str | Path, levels: np.ndarray) -> None:
+    """Write (H, W, 3) uint8 levels as a binary P6 PPM."""
+    levels = np.asarray(levels)
+    if levels.ndim != 3 or levels.shape[2] != 3:
+        raise ValueError("expected an (H, W, 3) image")
+    if levels.dtype != np.uint8:
+        raise ValueError(f"expected uint8 levels, got {levels.dtype}")
+    header = f"P6\n{levels.shape[1]} {levels.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + levels.tobytes())
+
+
 def save_ppm(path: str | Path, image: np.ndarray) -> None:
     """Write an RGB float image in [0, 1] as a binary P6 PPM (8-bit)."""
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError("expected an (H, W, 3) image")
-    data = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    save_ppm_levels(path, to_levels(image))
 
 
-def load_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary P6 PPM into an (H, W, 3) float image in [0, 1]."""
+def load_ppm_levels(path: str | Path) -> np.ndarray:
+    """Read a binary P6 PPM into (H, W, 3) uint8 levels."""
     raw = Path(path).read_bytes()
     tokens: list[bytes] = []
     pos = 0
@@ -259,8 +270,12 @@ def load_ppm(path: str | Path) -> np.ndarray:
     data = raw[pos : pos + expected]
     if len(data) != expected:
         raise ImageFormatError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
+
+
+def load_ppm(path: str | Path) -> np.ndarray:
+    """Read a binary P6 PPM into an (H, W, 3) float image in [0, 1]."""
+    return load_ppm_levels(path) / 255.0
 
 
 def save_depth(path: str | Path, depth: np.ndarray) -> None:
@@ -272,8 +287,8 @@ def save_depth(path: str | Path, depth: np.ndarray) -> None:
     Path(path).write_bytes(header + depth.astype("<f4").tobytes())
 
 
-def load_depth(path: str | Path) -> np.ndarray:
-    """Read a raw float32 depth dump written by `save_depth`."""
+def load_depth_f32(path: str | Path) -> np.ndarray:
+    """Read a raw float32 depth dump written by `save_depth`, as (H, W) float32."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise ImageFormatError(f"{path}: missing depth header")
@@ -284,4 +299,9 @@ def load_depth(path: str | Path) -> np.ndarray:
     data = raw[12 : 12 + expected]
     if len(data) != expected:
         raise ImageFormatError(f"{path}: truncated depth data")
-    return np.frombuffer(data, dtype="<f4").reshape(height, width).astype(np.float64)
+    return np.frombuffer(data, dtype="<f4").reshape(height, width).astype(np.float32, copy=False)
+
+
+def load_depth(path: str | Path) -> np.ndarray:
+    """Read a raw float32 depth dump written by `save_depth`, as (H, W) float64."""
+    return load_depth_f32(path).astype(np.float64)

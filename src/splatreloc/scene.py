@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -145,57 +146,74 @@ def _scene_of_records(records: np.ndarray, sky: np.ndarray, path: str | Path) ->
         raise SplatFormatError(f"{path}: {exc}") from None
 
 
+def _next_nonblank(f: TextIO) -> tuple[int, str]:
+    """Position and text (newline stripped) of f's next non-blank line; "" at the end."""
+    while True:
+        pos = f.tell()
+        line = f.readline()
+        if not line or line.strip():
+            return pos, line.rstrip("\n")
+
+
 def _parse_lines(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Sky and (count, 14) records of a scene file.
 
-    The records are parsed in one ``np.loadtxt`` call.  When that fails, or
-    does not give ``count`` rows of 14 values, they are parsed one record at
-    a time, which raises the ``SplatFormatError`` that names the file's first
-    fault and accepts every number spelling ``float`` does (such as ``1_0``).
+    The header and sky lines are read one at a time, and the open file goes
+    on to one ``np.loadtxt`` call, which reads the records in chunks.  When
+    that fails, or does not give ``count`` rows of 14 values, the records
+    are read again as lines, counted and parsed one at a time, which raises
+    the ``SplatFormatError`` that names the file's first fault and accepts
+    every number spelling ``float`` does (such as ``1_0``).  Lines end at
+    LF, CRLF or CR; any other whitespace separates fields.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise SplatFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "gsplat" or header[1] != "v1":
-        raise SplatFormatError(f"{path}: bad header {lines[0]!r}")
-    try:
-        count = int(header[2])
-    except ValueError:
-        raise SplatFormatError(f"{path}: bad header count {header[2]!r}") from None
-    if count < 0:
-        raise SplatFormatError(f"{path}: negative count in header")
-
-    body = lines[1:]
-    sky = np.zeros(3)
-    if body and body[0].split()[0] == "sky":
-        sky_fields = body[0].split()[1:]
-        if len(sky_fields) != 3:
-            raise SplatFormatError(f"{path}: sky line must have 3 components")
+    with open(path) as f:
+        _, first = _next_nonblank(f)
+        if not first:
+            raise SplatFormatError(f"{path}: empty file")
+        header = first.split()
+        if len(header) != 3 or header[0] != "gsplat" or header[1] != "v1":
+            raise SplatFormatError(f"{path}: bad header {first!r}")
         try:
-            sky = np.array([float(f) for f in sky_fields])
-        except ValueError as exc:
-            raise SplatFormatError(f"{path}: sky line: {exc}") from None
-        if not np.all(np.isfinite(sky)) or np.any(sky < 0.0) or np.any(sky > 1.0):
-            raise SplatFormatError(f"{path}: sky color must lie in [0, 1]")
-        body = body[1:]
-
-    if len(body) != count:
-        raise SplatFormatError(f"{path}: header promises {count} records, found {len(body)}")
-    if count > 0:
-        try:
-            records = np.loadtxt(body, comments=None, ndmin=2)
+            count = int(header[2])
         except ValueError:
-            records = None
-        if records is not None and records.shape == (count, RECORD_FIELDS):
-            return sky, records
+            raise SplatFormatError(f"{path}: bad header count {header[2]!r}") from None
+        if count < 0:
+            raise SplatFormatError(f"{path}: negative count in header")
+
+        body_pos, line = _next_nonblank(f)
+        sky = np.zeros(3)
+        if line and line.split()[0] == "sky":
+            sky_fields = line.split()[1:]
+            if len(sky_fields) != 3:
+                raise SplatFormatError(f"{path}: sky line must have 3 components")
+            try:
+                sky = np.array([float(v) for v in sky_fields])
+            except ValueError as exc:
+                raise SplatFormatError(f"{path}: sky line: {exc}") from None
+            if not np.all(np.isfinite(sky)) or np.any(sky < 0.0) or np.any(sky > 1.0):
+                raise SplatFormatError(f"{path}: sky color must lie in [0, 1]")
+            body_pos, line = _next_nonblank(f)
+
+        # line is the first record, "" when there is none (loadtxt warns on no data).
+        if count > 0 and line:
+            f.seek(body_pos)
+            try:
+                records = np.loadtxt(f, comments=None, ndmin=2)
+            except ValueError:
+                records = None
+            if records is not None and records.shape == (count, RECORD_FIELDS):
+                return sky, records
+        f.seek(body_pos)
+        lines = [ln for ln in f if ln.strip()]
+    if len(lines) != count:
+        raise SplatFormatError(f"{path}: header promises {count} records, found {len(lines)}")
     rows: list[list[float]] = []
-    for i, line in enumerate(body):
+    for i, line in enumerate(lines):
         fields = line.split()
         try:
             if len(fields) != RECORD_FIELDS:
                 raise ValueError(f"expected {RECORD_FIELDS} fields, got {len(fields)}")
-            rows.append([float(f) for f in fields])
+            rows.append([float(v) for v in fields])
         except ValueError as exc:
             # A rule broken by an earlier record is that record's fault, reported first.
             _scene_of_records(np.array(rows).reshape(-1, RECORD_FIELDS), sky, path)

@@ -10,12 +10,16 @@ from numpy.testing import assert_allclose
 
 from splatreloc import (
     AnchorDatabase,
+    AnchorRecord,
+    ReferenceView,
     SplatScene,
     Trajectory,
     TrajectoryTooShort,
     build_anchor_db,
     global_descriptor,
     load_anchor_db,
+    load_depth,
+    load_ppm,
     look_at,
     render,
     retrieve,
@@ -105,10 +109,12 @@ class TestBuildAnchorDb:
         ]
         assert all(0.5 * anchor_db.spacing <= g <= 2.0 * anchor_db.spacing for g in gaps)
 
-    def test_stored_render_is_quantized(self, anchor_db):
-        """Stored RGB sits exactly on 8-bit levels so disk round-trips are exact."""
-        scaled = anchor_db.records[0].rgb * 255.0
-        assert_allclose(scaled, np.round(scaled), atol=1e-9)
+    def test_stored_at_disk_precision(self, anchor_db, cam):
+        """Records hold uint8 levels and float32 depth: at most 540 000 bytes for 320x240."""
+        for rec in anchor_db.records:
+            assert rec.rgb.dtype == np.uint8 and rec.rgb.shape == (cam.height, cam.width, 3)
+            assert rec.depth.dtype == np.float32 and rec.depth.shape == (cam.height, cam.width)
+            assert rec.rgb.nbytes + rec.depth.nbytes + rec.descriptor.nbytes <= 540_000
 
     def test_anchor_depth_has_valid_pixels(self, anchor_db):
         """Every anchor sees enough scene content: >= 20% non-sky depth pixels."""
@@ -118,7 +124,7 @@ class TestBuildAnchorDb:
     def test_descriptor_matches_stored_rgb(self, anchor_db):
         """The stored descriptor is exactly the descriptor of the stored RGB."""
         for rec in anchor_db.records:
-            assert np.array_equal(rec.descriptor, global_descriptor(rec.rgb))
+            assert np.array_equal(rec.descriptor, global_descriptor(rec.rgb / 255.0))
 
     def test_nonpositive_spacing_raises(self, cam):
         with pytest.raises(ValueError, match="spacing"):
@@ -201,7 +207,7 @@ class TestRetrieve:
     def test_self_retrieval(self, anchor_db):
         """Each anchor's own RGB retrieves that anchor."""
         for rec in anchor_db.records:
-            assert retrieve(rec.rgb, anchor_db) == rec.anchor_id
+            assert retrieve(rec.rgb / 255.0, anchor_db) == rec.anchor_id
 
     def test_nearby_query_finds_its_anchor(self, anchor_db, dolly_queries):
         """A view 0.4 x spacing from anchor k retrieves anchor k."""
@@ -236,11 +242,17 @@ class TestAnchorDbIO:
         for orig, back in zip(anchor_db.records, loaded.records):
             assert back.anchor_id == orig.anchor_id
             assert back.source_index == orig.source_index
-            assert np.array_equal(back.rgb, orig.rgb)
-            assert np.array_equal(back.depth, orig.depth)
-            assert np.array_equal(back.descriptor, orig.descriptor)
+            for name in ("rgb", "depth", "descriptor"):
+                got, want = getattr(back, name), getattr(orig, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
             assert np.array_equal(back.pose.translation, orig.pose.translation)
             assert_allclose(back.pose.rotation, orig.pose.rotation, atol=1e-12)
+
+    def test_save_load_save_is_identical(self, anchor_db, tmp_path):
+        """A reloaded map writes byte-identical files."""
+        first = saved_files(anchor_db, tmp_path / "a")
+        assert saved_files(load_anchor_db(tmp_path / "a"), tmp_path / "b") == first
 
     def test_save_is_deterministic(self, anchor_db, tmp_path):
         """Saving the same database twice writes byte-identical files."""
@@ -265,7 +277,7 @@ class TestAnchorDbIO:
         save_anchor_db(tmp_path / "db", anchor_db)
         loaded = load_anchor_db(tmp_path / "db")
         for rec in loaded.records:
-            assert retrieve(rec.rgb, loaded) == rec.anchor_id
+            assert retrieve(rec.rgb / 255.0, loaded) == rec.anchor_id
 
     def test_bad_format_tag_raises(self, tmp_path):
         bad = tmp_path / "db"
@@ -277,3 +289,47 @@ class TestAnchorDbIO:
     def test_missing_index_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_anchor_db(tmp_path / "nothing")
+
+
+class TestStoredPrecision:
+    """Records keep the map at the precision it is saved with."""
+
+    def test_reference_view_has_the_float_bits(self, anchor_db, small_scene, cam, tmp_path):
+        """A stored anchor's float view equals the quantized render and the saved files."""
+        save_anchor_db(tmp_path / "db", anchor_db)
+        for rec in anchor_db.records:
+            out = render(small_scene, rec.pose, cam)
+            view = ReferenceView.of_anchor(rec)
+            want_rgb = np.clip(np.round(out.rgb * 255), 0, 255) / 255
+            want_depth = out.depth.astype(np.float32).astype(np.float64)
+            name = f"anchor_{rec.anchor_id:03d}"
+            assert view.rgb.dtype == view.depth.dtype == np.float64
+            assert view.rgb.tobytes() == want_rgb.tobytes()
+            assert view.rgb.tobytes() == load_ppm(tmp_path / "db" / f"{name}.ppm").tobytes()
+            assert view.depth.tobytes() == want_depth.tobytes()
+            assert view.depth.tobytes() == load_depth(tmp_path / "db" / f"{name}.depth").tobytes()
+            assert view.pose is rec.pose
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rgb", np.zeros((24, 32, 3))),  # float64 image
+            ("rgb", np.zeros((24, 32), np.uint8)),
+            ("rgb", np.zeros((24, 32, 4), np.uint8)),
+            ("rgb", [[[0, 0, 0]]]),
+            ("depth", np.zeros((24, 32))),  # float64 depth
+            ("depth", np.zeros((32, 24), np.float32)),
+            ("descriptor", np.zeros(191)),
+            ("descriptor", [0.0] * 192),
+        ],
+    )
+    def test_bad_array_names_its_field(self, field, value):
+        fields = dict(
+            anchor_id=0, source_index=0, pose=Pose.identity(),
+            rgb=np.zeros((24, 32, 3), np.uint8), depth=np.zeros((24, 32), np.float32),
+            descriptor=np.zeros(192),
+        )
+        AnchorRecord(**fields)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AnchorRecord(**fields)

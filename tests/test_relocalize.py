@@ -7,13 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splatreloc import (
-    AnchorRecord,
     ExternalMatcher,
     Matches,
     OracleConfig,
     OracleMatcher,
     Pose,
     ReferenceMatcher,
+    ReferenceView,
     RelocalizeConfig,
     lift_to_3d,
     oracle_match,
@@ -27,16 +27,12 @@ from splatreloc import (
 from splatreloc.geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
 
 
-def flat_anchor(cam, depth_value: float = 5.0, pose: Pose | None = None) -> AnchorRecord:
-    """Anchor with a constant-depth plane, for analytic lifting checks."""
-    depth = np.full((cam.height, cam.width), depth_value)
-    return AnchorRecord(
-        anchor_id=0,
-        source_index=0,
+def flat_reference(cam, depth_value: float = 5.0, pose: Pose | None = None) -> ReferenceView:
+    """Reference with a constant-depth plane, for analytic lifting checks."""
+    return ReferenceView(
         pose=pose or Pose.identity(),
         rgb=np.zeros((cam.height, cam.width, 3)),
-        depth=depth,
-        descriptor=np.zeros(192),
+        depth=np.full((cam.height, cam.width), depth_value),
     )
 
 
@@ -48,8 +44,8 @@ def matches_at(*pixels: tuple[float, float]) -> Matches:
 class TestLiftTo3d:
     def test_principal_point_identity_pose(self, cam):
         """Principal-point match at depth 5 with identity pose lifts to (0, 0, 5)."""
-        anchor = flat_anchor(cam, depth_value=5.0)
-        corrs = lift_to_3d(matches_at((cam.cx, cam.cy)), anchor, cam)
+        reference = flat_reference(cam, depth_value=5.0)
+        corrs = lift_to_3d(matches_at((cam.cx, cam.cy)), reference, cam)
         assert len(corrs) == 1
         assert_allclose(corrs.points[0], [0.0, 0.0, 5.0], atol=1e-12)
         assert_allclose(corrs.pixels[0], [cam.cx, cam.cy], atol=1e-12)
@@ -58,50 +54,48 @@ class TestLiftTo3d:
         """A depth plane that is linear in u and v is sampled exactly.
 
         Expected world points are recomputed by hand from the pinhole
-        back-projection and the anchor's rotation matrix.
+        back-projection and the reference's rotation matrix.
         """
         pose = Pose(
             quat_from_axis_angle(np.array([0.3, -0.5, 0.8]), 0.4),
             np.array([1.0, -2.0, 3.0]),
         )
-        anchor = flat_anchor(cam, pose=pose)
         vv, uu = np.mgrid[0 : cam.height, 0 : cam.width]
-        anchor = AnchorRecord(
-            anchor_id=0, source_index=0, pose=pose, rgb=anchor.rgb,
-            depth=2.0 + 0.01 * uu + 0.02 * vv, descriptor=anchor.descriptor,
+        reference = ReferenceView(
+            pose=pose, rgb=np.zeros((cam.height, cam.width, 3)), depth=2.0 + 0.01 * uu + 0.02 * vv
         )
         R = quat_to_matrix(pose.rotation)
         for _ in range(20):
             u = float(rng.uniform(1, cam.width - 2))
             v = float(rng.uniform(1, cam.height - 2))
-            (point,) = lift_to_3d(matches_at((u, v)), anchor, cam).points
+            (point,) = lift_to_3d(matches_at((u, v)), reference, cam).points
             d = 2.0 + 0.01 * u + 0.02 * v
             p_cam = np.array([(u - cam.cx) * d / cam.fx, (v - cam.cy) * d / cam.fy, d])
             assert_allclose(point, R @ p_cam + pose.translation, atol=1e-9)
 
     def test_sky_neighbor_drops_match(self, cam):
         """A zero-depth pixel in the 2x2 sample window invalidates the match."""
-        anchor = flat_anchor(cam)
-        anchor.depth[8, 12] = 0.0
-        kept = lift_to_3d(matches_at((11.5, 7.5), (20.5, 20.5)), anchor, cam)
+        reference = flat_reference(cam)
+        reference.depth[8, 12] = 0.0
+        kept = lift_to_3d(matches_at((11.5, 7.5), (20.5, 20.5)), reference, cam)
         assert len(kept) == 1
         assert_allclose(kept.pixels[0], [20.5, 20.5])
 
     def test_border_pixels_dropped(self, cam):
         """Sample windows that leave the image are rejected."""
-        anchor = flat_anchor(cam)
+        reference = flat_reference(cam)
         matches = matches_at(
             (cam.width - 1, 10.0),
             (-0.5, 10.0),
             (10.0, cam.height - 1),
             (10.0, 10.0),
         )
-        kept = lift_to_3d(matches, anchor, cam)
+        kept = lift_to_3d(matches, reference, cam)
         assert len(kept) == 1
         assert_allclose(kept.pixels[0], [10.0, 10.0])
 
     def test_empty_input(self, cam):
-        assert len(lift_to_3d(Matches.empty(), flat_anchor(cam), cam)) == 0
+        assert len(lift_to_3d(Matches.empty(), flat_reference(cam), cam)) == 0
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +118,7 @@ class TestRelocalizeLoop:
         """A query taken exactly at an anchor converges there in one iteration."""
         rec = anchor_db.records[2]
         matcher = OracleMatcher(rec.pose, cam, OracleConfig())
-        result = relocalize(rec.rgb, small_scene, anchor_db, matcher)
+        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
         assert result.status == "converged"
         assert result.anchor_id == 2
         assert len(result.traces) == 1
@@ -142,6 +136,30 @@ class TestRelocalizeLoop:
         renders = [span for span in spans if span[0] == "renderer.render"]
         assert len(renders) == len(result.traces) - 1
         assert all(end >= start for _, start, end in renders)
+
+    def test_matcher_sees_float_references(self, small_scene, anchor_db, cam, offset_result):
+        """Iteration 1 matches against the retrieved anchor as floats, later ones a render."""
+        gt, query, matcher, expected = offset_result
+        seen = []
+
+        class Spy:
+            def match_pair(self, query_image, reference, iteration):
+                seen.append(reference)
+                return matcher.match_pair(query_image, reference, iteration)
+
+        result = relocalize(query, small_scene, anchor_db, Spy())
+        assert result.to_dict() == expected.to_dict()
+        assert len(seen) == len(result.traces) > 1
+        anchor = ReferenceView.of_anchor(anchor_db.records[result.anchor_id])
+        for reference, want in zip(seen, [anchor] + [None] * (len(seen) - 1)):
+            assert reference.rgb.dtype == reference.depth.dtype == np.float64
+            if want is None:
+                want = render(small_scene, reference.pose, cam)
+            assert reference.rgb.tobytes() == want.rgb.tobytes()
+            assert reference.depth.tobytes() == want.depth.tobytes()
+        assert seen[0].pose is anchor_db.records[result.anchor_id].pose
+        for reference, previous in zip(seen[1:], result.traces):
+            assert reference.pose is previous.pose
 
     def test_converges_from_offset(self, offset_result):
         """0.3 m / 3 deg initial error converges to centimeter accuracy."""
@@ -221,11 +239,12 @@ class TestExternalMatcher:
         """Matches written as <id>_iter1.matches drive the loop to convergence."""
         rec = anchor_db.records[1]
         rng = np.random.default_rng(3)
-        matches, _ = oracle_match(rec.pose, rec.pose, rec.depth, cam, OracleConfig(), rng)
+        depth = ReferenceView.of_anchor(rec).depth
+        matches, _ = oracle_match(rec.pose, rec.pose, depth, cam, OracleConfig(), rng)
         size = (cam.width, cam.height)
         save_matches(tmp_path / "q7_iter1.matches", matches, size, size)
         matcher = ExternalMatcher(tmp_path, "q7", cam)
-        result = relocalize(rec.rgb, small_scene, anchor_db, matcher)
+        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
         assert result.status == "converged"
         assert len(result.traces) == 1
         dt, dr = pose_delta(result.final_pose, rec.pose)
@@ -235,7 +254,7 @@ class TestExternalMatcher:
         """No match file for the iteration means a failed status, not a crash."""
         rec = anchor_db.records[1]
         matcher = ExternalMatcher(tmp_path, "absent", cam)
-        result = relocalize(rec.rgb, small_scene, anchor_db, matcher)
+        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
         assert result.status == "failed"
         assert "min_matches" in result.message
 
@@ -244,7 +263,7 @@ class TestExternalMatcher:
         rec = anchor_db.records[1]
         (tmp_path / "bad_iter1.matches").write_text("not a match file\n")
         matcher = ExternalMatcher(tmp_path, "bad", cam)
-        result = relocalize(rec.rgb, small_scene, anchor_db, matcher)
+        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
         assert result.status == "failed"
         assert "iteration 1" in result.message
 

@@ -11,10 +11,14 @@ from splatreloc import (
     SyntheticSceneConfig,
     generate_synthetic_scene,
     load_depth,
+    load_depth_f32,
     load_ppm,
+    load_ppm_levels,
     render,
     save_depth,
     save_ppm,
+    save_ppm_levels,
+    to_levels,
 )
 from splatreloc.geometry import quat_from_axis_angle, quat_to_matrix
 from splatreloc.renderer import (
@@ -493,6 +497,28 @@ class TestPpmIO:
         save_ppm(path, img)
         np.testing.assert_array_equal(load_ppm(path), img)
 
+    def test_levels_roundtrip_exactly(self, tmp_path, rng):
+        """The 8-bit core reads back the levels it wrote; the float API wraps it."""
+        levels = rng.integers(0, 256, (24, 32, 3), dtype=np.uint8)
+        save_ppm_levels(tmp_path / "levels.ppm", levels)
+        back = load_ppm_levels(tmp_path / "levels.ppm")
+        assert back.dtype == np.uint8 and back.tobytes() == levels.tobytes()
+        assert load_ppm(tmp_path / "levels.ppm").tobytes() == (levels / 255.0).tobytes()
+        save_ppm(tmp_path / "float.ppm", levels / 255.0)
+        assert (tmp_path / "float.ppm").read_bytes() == (tmp_path / "levels.ppm").read_bytes()
+
+    def test_to_levels_rounds_and_clips(self):
+        image = np.array([[[-0.5, 0.0, 0.5 / 255]], [[0.5, 1.0, 1.5]]])
+        levels = to_levels(image)
+        assert levels.dtype == np.uint8
+        np.testing.assert_array_equal(levels, [[[0, 0, 0]], [[128, 255, 255]]])
+
+    def test_levels_must_be_uint8(self, tmp_path):
+        with pytest.raises(ValueError, match="uint8"):
+            save_ppm_levels(tmp_path / "img.ppm", np.zeros((4, 6, 3)))
+        with pytest.raises(ValueError, match="H, W, 3"):
+            save_ppm_levels(tmp_path / "img.ppm", np.zeros((4, 6), np.uint8))
+
     def test_header_is_p6(self, tmp_path):
         path = tmp_path / "img.ppm"
         save_ppm(path, np.zeros((4, 6, 3)))
@@ -541,6 +567,15 @@ class TestDepthIO:
         path = tmp_path / "d.depth"
         save_depth(path, depth)
         np.testing.assert_array_equal(load_depth(path), depth)
+
+    def test_float32_core(self, tmp_path, rng):
+        """load_depth_f32 returns the stored float32 values; load_depth widens them."""
+        depth = rng.uniform(0, 50, (24, 32)).astype(np.float32)
+        save_depth(tmp_path / "d.depth", depth)
+        back = load_depth_f32(tmp_path / "d.depth")
+        assert back.dtype == np.float32 and back.tobytes() == depth.tobytes()
+        wide = load_depth(tmp_path / "d.depth")
+        assert wide.dtype == np.float64 and wide.tobytes() == depth.astype(np.float64).tobytes()
 
     def test_zero_depth_preserved(self, tmp_path):
         depth = np.zeros((8, 8))

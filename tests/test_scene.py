@@ -336,13 +336,29 @@ class TestSceneFileFormat:
 
     # -- the vectorized loader against the record-by-record reference -------
 
+    def test_records_reach_loadtxt_as_the_open_file(self, tmp_path, monkeypatch):
+        """One loadtxt call reads the records from the file, not from a list of lines."""
+        scene, _ = generate_synthetic_scene(4, SyntheticSceneConfig(n_gaussians=300))
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, scene)
+        inputs = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            inputs.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        assert_same_bytes(load_splat_scene(path), reference_load(path))
+        assert len(inputs) == 1 and hasattr(inputs[0], "read")
+
     def test_generated_scene_loads_like_reference(self, tmp_path):
         scene, _ = generate_synthetic_scene(4, SyntheticSceneConfig(n_gaussians=300))
         path = tmp_path / "scene.gsplat"
         save_splat_scene(path, scene)
         assert_same_bytes(load_splat_scene(path), reference_load(path))
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_hand_written_file_loads_like_reference(self, tmp_path, newline):
         lines = [
             "",
