@@ -78,7 +78,6 @@ from .relocalize import (
 )
 from .renderer import (
     RenderOutput,
-    load_depth,
     load_depth_f32,
     load_ppm,
     load_ppm_levels,

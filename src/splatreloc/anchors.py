@@ -221,9 +221,21 @@ def _render_anchor(
 
 
 def retrieve(query_image: np.ndarray, db: AnchorDatabase) -> int:
-    """Anchor id with the highest descriptor cosine similarity (ties: lowest id)."""
+    """Anchor id with the highest descriptor cosine similarity (ties: lowest id).
+
+    The query must be a float image in [0, 1], like a render or ``load_ppm``;
+    8-bit levels (``rec.rgb``, not ``rec.rgb / 255.0``) or NaN raise.
+    """
     if not db.records:
         raise ValueError("anchor database is empty")
+    if not (
+        np.issubdtype(query_image.dtype, np.floating)
+        and np.all((query_image >= 0) & (query_image <= 1))
+    ):
+        raise ValueError(
+            f"query image must be floating point in [0, 1], got {query_image.dtype} "
+            f"in [{np.min(query_image)}, {np.max(query_image)}]"
+        )
     q = global_descriptor(query_image)
     sims = np.array([float(q @ rec.descriptor) for rec in db.records])
     return int(np.argmax(sims))

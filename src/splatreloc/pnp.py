@@ -39,6 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CheiralityViolation, DegenerateGeometry, InsufficientMatches, NoConsensus
+from .features import _check_rows, _rows
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -67,10 +68,9 @@ class Correspondences:
     points: np.ndarray  # (n, 3)
 
     def __post_init__(self) -> None:
-        pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
-        points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if pixels.shape[0] != points.shape[0]:
-            raise ValueError(f"{pixels.shape[0]} pixels but {points.shape[0]} points")
+        pixels = _rows(self.pixels, "pixels", 2)
+        points = _rows(self.points, "points", 3)
+        _check_rows(pixels=pixels, points=points)
         object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "points", points)
 

@@ -10,9 +10,23 @@ initial estimate, then repeats:
   4. solve a robust PnP for a new estimate,
 
 until the pose update falls below both the translation and rotation
-thresholds (converged), the iteration budget runs out (max_iterations), or
-an iteration cannot produce a usable pose (failed, keeping the best previous
-estimate).  Every completed iteration leaves a diagnostic trace.
+thresholds (``converged``), the iteration budget runs out
+(``max_iterations``), or an iteration cannot produce a usable pose
+(``failed``).  Every iteration leaves one ``IterationTrace``.
+
+A failed result keeps the previous estimate as its final pose, and its
+``message`` reads ``iteration <k>: <reason>``, the reason being one of
+
+  * ``<n> matches < min_matches <m>``,
+  * ``<n> lifted correspondences < min_matches <m>`` (the others fell on sky
+    or too close to the image border),
+  * ``pose solve failed: <error>`` (any ``SplatRelocError`` of ``solve_pnp``),
+  * the ``MatchFileError`` text of a malformed match file.
+
+The failed iteration's trace holds the previous estimate as its pose, the
+count, mean confidence and uniformity of that iteration's matches (zero for
+a malformed file), both deltas 0.0, and ``None`` for the inlier count and
+reprojection error.  Every other error propagates.
 
 Matchers and lifting see each reference as a ``ReferenceView``: its pose and
 float64 RGB and depth.  The first iteration builds it once from the
@@ -44,7 +58,7 @@ from .features import (
     oracle_match,
 )
 from .geometry import CameraIntrinsics, Pose, pose_delta
-from .pnp import Correspondences, RansacConfig, solve_pnp
+from .pnp import Correspondences, RansacConfig, SolverReport, solve_pnp
 from .renderer import render
 from .scene import SplatScene
 
@@ -229,18 +243,7 @@ class RelocalizationResult:
 
     def to_dict(self) -> dict:
         traces = [
-            {
-                "iteration": tr.iteration,
-                "pose": [float(v) for v in tr.pose.as_array()],
-                "match_count": tr.match_count,
-                "mean_confidence": tr.mean_confidence,
-                "uniformity": tr.uniformity,
-                "trans_delta": tr.trans_delta,
-                "rot_delta": tr.rot_delta,
-                "inlier_count": tr.inlier_count,
-                "mean_reprojection_error": tr.mean_reprojection_error,
-            }
-            for tr in self.traces
+            {**vars(tr), "pose": [float(v) for v in tr.pose.as_array()]} for tr in self.traces
         ]
         return {
             "status": self.status,
@@ -250,6 +253,21 @@ class RelocalizationResult:
             "iterations": len(self.traces),
             "traces": traces,
         }
+
+
+def _solve(
+    matches: Matches, reference: ReferenceView, cam: CameraIntrinsics, config: RelocalizeConfig
+) -> SolverReport | str:
+    """The iteration's pose solve, or the reason it could not give a pose."""
+    if len(matches) < config.min_matches:
+        return f"{len(matches)} matches < min_matches {config.min_matches}"
+    corrs = lift_to_3d(matches, reference, cam)
+    if len(corrs) < config.min_matches:
+        return f"{len(corrs)} lifted correspondences < min_matches {config.min_matches}"
+    try:
+        return solve_pnp(corrs, cam, config.ransac)
+    except SplatRelocError as exc:
+        return f"pose solve failed: {exc}"
 
 
 def relocalize(
@@ -272,13 +290,6 @@ def relocalize(
 
     current = anchor.pose
     traces: list[IterationTrace] = []
-
-    def finish(status: str, message: str = "") -> RelocalizationResult:
-        return RelocalizationResult(
-            final_pose=current, status=status, anchor_id=anchor_id,
-            traces=traces, message=message,
-        )
-
     for iteration in range(1, config.max_iterations + 1):
         if iteration == 1:
             reference = ReferenceView.of_anchor(anchor)
@@ -289,16 +300,12 @@ def relocalize(
         try:
             matches = matcher.match_pair(query_image, reference, iteration)
         except MatchFileError as exc:
-            traces.append(
-                IterationTrace(
-                    iteration=iteration, pose=current, match_count=0,
-                    mean_confidence=0.0, uniformity=0.0, trans_delta=0.0, rot_delta=0.0,
-                )
-            )
-            return finish(STATUS_FAILED, f"iteration {iteration}: {exc}")
+            matches, report = Matches.empty(), str(exc)
+        else:
+            report = _solve(matches, reference, cam, config)
         stats = match_stats(matches, cam)
 
-        def failed_trace(reason: str) -> RelocalizationResult:
+        if isinstance(report, str):
             traces.append(
                 IterationTrace(
                     iteration=iteration, pose=current,
@@ -306,23 +313,8 @@ def relocalize(
                     uniformity=stats.uniformity, trans_delta=0.0, rot_delta=0.0,
                 )
             )
-            return finish(STATUS_FAILED, f"iteration {iteration}: {reason}")
-
-        if stats.count < config.min_matches:
-            return failed_trace(
-                f"{stats.count} matches < min_matches {config.min_matches}"
-            )
-
-        corrs = lift_to_3d(matches, reference, cam)
-        if len(corrs) < config.min_matches:
-            return failed_trace(
-                f"{len(corrs)} lifted correspondences < min_matches {config.min_matches}"
-            )
-
-        try:
-            report = solve_pnp(corrs, cam, config.ransac)
-        except SplatRelocError as exc:
-            return failed_trace(f"pose solve failed: {exc}")
+            message = f"iteration {iteration}: {report}"
+            return RelocalizationResult(current, STATUS_FAILED, anchor_id, traces, message)
 
         trans_delta, rot_delta = pose_delta(report.pose, current)
         current = report.pose
@@ -337,9 +329,9 @@ def relocalize(
             )
         )
         if trans_delta <= config.trans_eps and rot_delta <= config.rot_eps:
-            return finish(STATUS_CONVERGED)
+            return RelocalizationResult(current, STATUS_CONVERGED, anchor_id, traces)
 
-    return finish(STATUS_MAX_ITERATIONS)
+    return RelocalizationResult(current, STATUS_MAX_ITERATIONS, anchor_id, traces)
 
 
 def save_result(path: str | Path, result: RelocalizationResult, query_id: str | None = None) -> None:

@@ -300,8 +300,3 @@ def load_depth_f32(path: str | Path) -> np.ndarray:
     if len(data) != expected:
         raise ImageFormatError(f"{path}: truncated depth data")
     return np.frombuffer(data, dtype="<f4").reshape(height, width).astype(np.float32, copy=False)
-
-
-def load_depth(path: str | Path) -> np.ndarray:
-    """Read a raw float32 depth dump written by `save_depth`, as (H, W) float64."""
-    return load_depth_f32(path).astype(np.float64)

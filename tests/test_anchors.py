@@ -18,7 +18,7 @@ from splatreloc import (
     build_anchor_db,
     global_descriptor,
     load_anchor_db,
-    load_depth,
+    load_depth_f32,
     load_ppm,
     look_at,
     render,
@@ -221,6 +221,16 @@ class TestRetrieve:
             sims = [float(q @ rec.descriptor) for rec in anchor_db.records]
             assert retrieve(rgb, anchor_db) == int(np.argmax(sims))
 
+    def test_query_must_be_floats_in_unit_range(self, anchor_db):
+        """8-bit levels, unscaled floats and NaN raise; the levels / 255 are accepted."""
+        rec = anchor_db.records[0]
+        with_nan = rec.rgb / 255.0
+        with_nan[5, 7, 1] = np.nan
+        for bad in (rec.rgb, rec.rgb * 1.0, with_nan):
+            with pytest.raises(ValueError, match=r"floating point in \[0, 1\]"):
+                retrieve(bad, anchor_db)
+        assert retrieve(rec.rgb / 255.0, anchor_db) == rec.anchor_id
+
     def test_empty_db_raises(self, cam, rng):
         db = AnchorDatabase(camera=cam, spacing=3.0, records=[])
         with pytest.raises(ValueError, match="empty"):
@@ -307,7 +317,8 @@ class TestStoredPrecision:
             assert view.rgb.tobytes() == want_rgb.tobytes()
             assert view.rgb.tobytes() == load_ppm(tmp_path / "db" / f"{name}.ppm").tobytes()
             assert view.depth.tobytes() == want_depth.tobytes()
-            assert view.depth.tobytes() == load_depth(tmp_path / "db" / f"{name}.depth").tobytes()
+            stored = load_depth_f32(tmp_path / "db" / f"{name}.depth")
+            assert view.depth.tobytes() == stored.astype(np.float64).tobytes()
             assert view.pose is rec.pose
 
     @pytest.mark.parametrize(

@@ -55,6 +55,38 @@ def make_case(seed, n=20, noise=0.0, outliers=0, cam=CAM, z_range=(3.0, 8.0)):
 
 
 # ===========================================================================
+# Correspondence record
+# ===========================================================================
+
+
+class TestCorrespondencesRecord:
+    def test_wrong_shapes_raise(self):
+        """Shapes are checked, never reshaped: (3, 4) pixels are not 6 pairs."""
+        with pytest.raises(ValueError, match=r"pixels must have shape \('n', 2\), got \(3, 4\)"):
+            Correspondences(np.zeros((3, 4)), np.zeros((6, 3)))
+        with pytest.raises(ValueError, match=r"points must have shape \('n', 3\), got \(6,\)"):
+            Correspondences(np.zeros((2, 2)), np.zeros(6))
+        with pytest.raises(ValueError, match="pixels must have shape"):
+            Correspondences(np.zeros(2), np.zeros((1, 3)))
+
+    def test_mismatched_rows_raise(self):
+        with pytest.raises(ValueError, match="row counts differ: 3 pixels, 2 points"):
+            Correspondences(np.zeros((3, 2)), np.zeros((2, 3)))
+
+    def test_getitem(self):
+        _, corrs = make_case(3, n=6)
+        mask = np.array([True, False, True, True, False, False])
+        for index in (mask, slice(1, 3), np.array([5, 0])):
+            picked = corrs[index]
+            np.testing.assert_array_equal(picked.pixels, corrs.pixels[index])
+            np.testing.assert_array_equal(picked.points, corrs.points[index])
+        assert len(corrs[mask]) == 3
+        empty = corrs[np.zeros(6, dtype=bool)]
+        assert len(empty) == 0
+        assert empty.pixels.shape == (0, 2) and empty.points.shape == (0, 3)
+
+
+# ===========================================================================
 # Control points
 # ===========================================================================
 

@@ -16,6 +16,8 @@ from splatreloc import (
     ReferenceView,
     RelocalizeConfig,
     lift_to_3d,
+    load_matches,
+    match_stats,
     oracle_match,
     pose_delta,
     relocalize,
@@ -25,6 +27,12 @@ from splatreloc import (
     save_result,
 )
 from splatreloc.geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
+
+TRACE_KEYS = {
+    "iteration", "pose", "match_count", "mean_confidence",
+    "uniformity", "trans_delta", "rot_delta",
+    "inlier_count", "mean_reprojection_error",
+}
 
 
 def flat_reference(cam, depth_value: float = 5.0, pose: Pose | None = None) -> ReferenceView:
@@ -227,11 +235,106 @@ class TestRelocalizeLoop:
         assert len(again.traces) == len(result.traces)
         assert np.array_equal(again.final_pose.as_array(), result.final_pose.as_array())
 
+    def test_levels_query_raises(self, small_scene, anchor_db, cam):
+        """A record's 8-bit levels are not a query; its levels / 255 are."""
+        rec = anchor_db.records[2]
+        matcher = OracleMatcher(rec.pose, cam, OracleConfig())
+        with pytest.raises(ValueError, match=r"floating point in \[0, 1\], got uint8"):
+            relocalize(rec.rgb, small_scene, anchor_db, matcher)
+
     def test_camera_mismatch_raises(self, small_scene, anchor_db):
         """Query dimensions must match the database camera."""
         wrong = np.full((120, 160, 3), 0.5)
         with pytest.raises(ValueError, match="camera"):
             relocalize(wrong, small_scene, anchor_db, ReferenceMatcher())
+
+
+def _too_few(matches, reference, cam, tmp_path):
+    return matches[:5]
+
+
+def _border_bound(matches, reference, cam, tmp_path):
+    """Four interior matches plus sixteen whose depth window leaves the image."""
+    u = np.linspace(10.0, cam.width - 10.0, 4)
+    edges = [
+        (cam.width - 1.0, 50.0), (cam.width - 0.5, 120.0), (-0.5, 80.0), (100.0, cam.height - 1.0)
+    ]
+    ref = np.vstack([np.column_stack([u, np.full(4, 60.0)]), np.repeat(edges, 4, axis=0)])
+    query = np.column_stack([np.linspace(5.0, 300.0, 20), np.linspace(5.0, 230.0, 20)])
+    return Matches(query=query, ref=ref, confidence=np.linspace(0.2, 0.9, 20))
+
+
+def _all_outliers(matches, reference, cam, tmp_path):
+    rng = np.random.default_rng(5)
+    outliers, _ = oracle_match(
+        reference.pose, reference.pose, reference.depth, cam,
+        OracleConfig(outlier_fraction=1.0), rng,
+    )
+    return outliers
+
+
+def _corrupt_file(matches, reference, cam, tmp_path):
+    (tmp_path / "bad_iter1.matches").write_text("not a match file\n")
+    size = (cam.width, cam.height)
+    return load_matches(tmp_path / "bad_iter1.matches", size, size)
+
+
+class TestFailedIteration:
+    """Every failed exit keeps the previous estimate and traces the iteration's matches."""
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (_too_few, "5 matches < min_matches 12"),
+            (_border_bound, "4 lifted correspondences < min_matches 12"),
+            (
+                _all_outliers,
+                "pose solve failed: no hypothesis reached 6 inliers at 3.0 px over 256 iterations",
+            ),
+            (_corrupt_file, "{tmp}/bad_iter1.matches: bad header 'not a match file'"),
+        ],
+        ids=["too_few_matches", "too_few_lifted", "no_consensus", "match_file"],
+    )
+    def test_failed_exit(
+        self, small_scene, anchor_db, cam, offset_result, tmp_path, fail_at, bad, reason
+    ):
+        _, query, good, _ = offset_result
+
+        class FailAt:
+            """The oracle's matches, replaced by ``bad``'s at iteration ``fail_at``."""
+
+            bad_matches = Matches.empty()  # what the trace counts when ``bad`` raises
+
+            def match_pair(self, query_image, reference, iteration):
+                matches = good.match_pair(query_image, reference, iteration)
+                if iteration == fail_at:
+                    matches = self.bad_matches = bad(matches, reference, cam, tmp_path)
+                return matches
+
+        matcher = FailAt()
+        result = relocalize(query, small_scene, anchor_db, matcher)
+        assert result.message == f"iteration {fail_at}: " + reason.format(tmp=tmp_path)
+        assert result.status == "failed"
+        assert len(result.traces) == fail_at
+        anchor = anchor_db.records[result.anchor_id]
+        previous = anchor.pose if fail_at == 1 else result.traces[0].pose
+        assert result.final_pose is previous
+        failed = result.traces[-1]
+        stats = match_stats(matcher.bad_matches, cam)
+        assert failed.iteration == fail_at
+        assert failed.pose is previous
+        assert (failed.match_count, failed.mean_confidence, failed.uniformity) == (
+            stats.count, stats.mean_confidence, stats.uniformity,
+        )
+        assert failed.trans_delta == failed.rot_delta == 0.0
+        assert failed.inlier_count is None and failed.mean_reprojection_error is None
+        payload = result.to_dict()
+        assert set(payload) == {
+            "status", "anchor_id", "message", "final_pose", "iterations", "traces",
+        }
+        assert all(set(tr) == TRACE_KEYS for tr in payload["traces"])
+        assert payload["traces"][-1]["inlier_count"] is None
 
 
 class TestExternalMatcher:
@@ -256,7 +359,7 @@ class TestExternalMatcher:
         matcher = ExternalMatcher(tmp_path, "absent", cam)
         result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
         assert result.status == "failed"
-        assert "min_matches" in result.message
+        assert result.message == "iteration 1: 0 matches < min_matches 12"
 
     def test_corrupt_file_fails_with_context(self, small_scene, anchor_db, cam, tmp_path):
         """A malformed match file surfaces as a failed status naming the iteration."""
@@ -265,7 +368,9 @@ class TestExternalMatcher:
         matcher = ExternalMatcher(tmp_path, "bad", cam)
         result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
         assert result.status == "failed"
-        assert "iteration 1" in result.message
+        assert result.message == (
+            f"iteration 1: {tmp_path}/bad_iter1.matches: bad header 'not a match file'"
+        )
 
 
 class TestResultSerialization:
@@ -279,12 +384,7 @@ class TestResultSerialization:
         assert payload["status"] == "converged"
         assert payload["iterations"] == len(result.traces)
         assert len(payload["final_pose"]) == 7
-        trace_keys = {
-            "iteration", "pose", "match_count", "mean_confidence",
-            "uniformity", "trans_delta", "rot_delta",
-            "inlier_count", "mean_reprojection_error",
-        }
-        assert all(set(tr) == trace_keys for tr in payload["traces"])
+        assert all(set(tr) == TRACE_KEYS for tr in payload["traces"])
 
     def test_save_result_is_deterministic(self, offset_result, tmp_path):
         """The result JSON excludes wall-clock data, so rewrites are identical."""

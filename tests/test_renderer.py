@@ -10,7 +10,6 @@ from splatreloc import (
     SplatScene,
     SyntheticSceneConfig,
     generate_synthetic_scene,
-    load_depth,
     load_depth_f32,
     load_ppm,
     load_ppm_levels,
@@ -566,23 +565,21 @@ class TestDepthIO:
         depth = rng.uniform(0, 50, (24, 32)).astype(np.float32).astype(np.float64)
         path = tmp_path / "d.depth"
         save_depth(path, depth)
-        np.testing.assert_array_equal(load_depth(path), depth)
+        np.testing.assert_array_equal(load_depth_f32(path).astype(np.float64), depth)
 
     def test_float32_core(self, tmp_path, rng):
-        """load_depth_f32 returns the stored float32 values; load_depth widens them."""
+        """load_depth_f32 returns the stored float32 values."""
         depth = rng.uniform(0, 50, (24, 32)).astype(np.float32)
         save_depth(tmp_path / "d.depth", depth)
         back = load_depth_f32(tmp_path / "d.depth")
         assert back.dtype == np.float32 and back.tobytes() == depth.tobytes()
-        wide = load_depth(tmp_path / "d.depth")
-        assert wide.dtype == np.float64 and wide.tobytes() == depth.astype(np.float64).tobytes()
 
     def test_zero_depth_preserved(self, tmp_path):
         depth = np.zeros((8, 8))
         depth[3, 4] = 7.5
         path = tmp_path / "d.depth"
         save_depth(path, depth)
-        back = load_depth(path)
+        back = load_depth_f32(path)
         assert back[0, 0] == 0.0
         assert back[3, 4] == 7.5
 
@@ -592,7 +589,7 @@ class TestDepthIO:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ImageFormatError):
-            load_depth(path)
+            load_depth_f32(path)
 
     def test_bad_channel_count_raises(self, tmp_path):
         import struct
@@ -600,4 +597,4 @@ class TestDepthIO:
         path = tmp_path / "d.depth"
         path.write_bytes(struct.pack("<iii", 2, 2, 3) + bytes(4 * 4 * 3))
         with pytest.raises(ImageFormatError):
-            load_depth(path)
+            load_depth_f32(path)
