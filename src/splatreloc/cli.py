@@ -231,6 +231,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"no result JSON files found in {results_dir}")
 
     entries = []
+    frame_files: dict[int, str] = {}  # frame index -> the result file that holds it
     statuses: dict[str, int] = {}
     stage_ms = dict.fromkeys(_SPAN_STAGE.values(), 0.0)
     timed_iterations = 0  # iterations of the results that have a sidecar
@@ -247,6 +248,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             gt_pose = gt_trajectory.pose_for(index)
         except (ValueError, KeyError):
             raise ValueError(f"{path.name}: no ground-truth pose for query id {query_id!r}") from None
+        if index in frame_files:
+            raise ValueError(
+                f"{frame_files[index]} and {path.name} are both results for frame {index}"
+            )
+        frame_files[index] = path.name
         est_pose = Pose.from_array(np.array(payload["final_pose"]))
         entries.append((index, est_pose, gt_pose))
         statuses[payload["status"]] = statuses.get(payload["status"], 0) + 1

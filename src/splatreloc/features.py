@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import MatchFileError
 from .geometry import CameraIntrinsics, Pose
@@ -149,6 +148,9 @@ def _harris_response(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``gray`` blurred at sigma, and the Harris response
     det(M) - k * trace(M)^2 of their structure tensor M."""
+    # Imported here, its only use, so processes that never detect load no SciPy.
+    from scipy.ndimage import gaussian_filter
+
     gy, gx = np.gradient(gaussian_filter(gray, sigma, mode="nearest"))
     sxx = gaussian_filter(gx * gx, 1.5 * sigma, mode="nearest")
     sxy = gaussian_filter(gx * gy, 1.5 * sigma, mode="nearest")

@@ -314,6 +314,15 @@ class TestErrorHandling:
         assert main(args) == 1
         assert capsys.readouterr().err == "error: 0.json: expected a JSON object\n"
 
+    def test_evaluate_two_results_for_one_frame(self, tmp_path, capsys):
+        """``1.json`` and ``0001.json`` both name frame 1: the error names both files."""
+        args = evaluate_args(tmp_path, [(1, None), (1, None)])
+        payload = json.loads((tmp_path / "results" / "1.json").read_text())
+        del payload["query_id"]  # the file name gives the frame
+        (tmp_path / "results" / "0001.json").write_text(json.dumps(payload))
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: 0001.json and 1.json are both results for frame 1\n"
+
     def test_missing_scene_file(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(tmp_path / "nope.gsplat"),
