@@ -53,9 +53,7 @@ from .geometry import (
     save_trajectory,
 )
 from .pnp import (
-    BundleAdjustConfig,
     Correspondences,
-    RansacConfig,
     SolverReport,
     apply_delta,
     epnp,

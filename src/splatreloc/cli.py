@@ -11,9 +11,15 @@ no timestamps or wall-clock values, so reruns produce byte-identical
 artifacts.  The exception is the ``<query>.timing.json`` sidecar that
 ``relocalize`` writes next to each result: the query's time per stage in ms,
 summed from the spans the library records (``spans.py``); ``evaluate``
-averages the sidecars per iteration into ``timing.json``.  A JSON config
-file can supply any long-flag value (keys use underscores); explicit flags
-win over the file.
+averages the sidecars per iteration into ``timing.json``.
+
+``--config settings.json`` supplies optional flags from a JSON object: each
+key is a flag's name with underscores (``"n_gaussians"`` for
+``--n-gaussians``), and ``main`` parses the file's settings as flags placed
+before those of the command line, so argparse checks names, types and
+choices and an explicit flag wins.  JSON ``true`` sets a switch and ``false``
+leaves it off.  Long flags must be spelled out in full, on the command line
+as in a file.
 """
 
 from __future__ import annotations
@@ -66,50 +72,14 @@ _SPAN_STAGE = {
 }
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
-    return data
-
-
-def _setting(args: argparse.Namespace, config: dict, name: str, default):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _camera_from_settings(args: argparse.Namespace, config: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        fx=float(_setting(args, config, "fx", DEFAULT_CAMERA.fx)),
-        fy=float(_setting(args, config, "fy", DEFAULT_CAMERA.fy)),
-        cx=float(_setting(args, config, "cx", DEFAULT_CAMERA.cx)),
-        cy=float(_setting(args, config, "cy", DEFAULT_CAMERA.cy)),
-        width=int(_setting(args, config, "width", DEFAULT_CAMERA.width)),
-        height=int(_setting(args, config, "height", DEFAULT_CAMERA.height)),
-        near=float(_setting(args, config, "near", DEFAULT_CAMERA.near)),
-    )
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    default = SyntheticSceneConfig()
     scene_config = SyntheticSceneConfig(
-        n_gaussians=int(_setting(args, config, "n_gaussians", default.n_gaussians)),
-        extent=float(_setting(args, config, "extent", default.extent)),
-        trajectory_length=float(
-            _setting(args, config, "trajectory_length", default.trajectory_length)
-        ),
-        anchor_spacing=float(_setting(args, config, "anchor_spacing", default.anchor_spacing)),
+        n_gaussians=args.n_gaussians,
+        extent=args.extent,
+        trajectory_length=args.trajectory_length,
+        anchor_spacing=args.anchor_spacing,
     )
-    seed = int(_setting(args, config, "seed", 0))
-    scene, trajectory = generate_synthetic_scene(seed, scene_config)
+    scene, trajectory = generate_synthetic_scene(args.seed, scene_config)
     save_splat_scene(args.out, scene)
     save_trajectory(args.traj_out, trajectory)
     print(
@@ -120,12 +90,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_anchors(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
     scene = load_splat_scene(args.scene)
     trajectory = load_trajectory(args.trajectory)
-    cam = _camera_from_settings(args, config)
-    spacing = float(_setting(args, config, "spacing", 3.0))
-    db = build_anchor_db(scene, trajectory, cam, spacing)
+    cam = CameraIntrinsics(
+        fx=args.fx, fy=args.fy, cx=args.cx, cy=args.cy,
+        width=args.width, height=args.height, near=args.near,
+    )
+    db = build_anchor_db(scene, trajectory, cam, args.spacing)
     save_anchor_db(args.out, db)
     print(f"build-anchors: wrote {len(db)} anchors to {args.out}")
     return 0
@@ -139,38 +110,32 @@ def _query_files(directory: str) -> list[Path]:
 
 
 def _cmd_relocalize(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
+    loop_config = RelocalizeConfig(
+        max_iterations=args.max_iterations,
+        trans_eps=args.trans_eps,
+        rot_eps=args.rot_eps,
+        min_matches=args.min_matches,
+    )
     scene = load_splat_scene(args.scene)
     db = load_anchor_db(args.anchors)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    matcher_kind = _setting(args, config, "matcher", "reference")
-    seed = int(_setting(args, config, "seed", 0))
-    default = RelocalizeConfig()
-    loop_config = RelocalizeConfig(
-        max_iterations=int(_setting(args, config, "max_iterations", default.max_iterations)),
-        trans_eps=float(_setting(args, config, "trans_eps", default.trans_eps)),
-        rot_eps=float(_setting(args, config, "rot_eps", default.rot_eps)),
-        min_matches=int(_setting(args, config, "min_matches", default.min_matches)),
-    )
-
     gt_trajectory = None
-    if matcher_kind == "oracle":
-        gt_path = _setting(args, config, "query_gt", None)
-        if gt_path is None:
+    if args.matcher == "oracle":
+        if args.query_gt is None:
             raise ValueError("--query-gt is required with the oracle matcher")
-        gt_trajectory = load_trajectory(gt_path)
-    elif matcher_kind == "external":
-        if _setting(args, config, "matches_dir", None) is None:
+        gt_trajectory = load_trajectory(args.query_gt)
+    elif args.matcher == "external":
+        if args.matches_dir is None:
             raise ValueError("--matches-dir is required with the external matcher")
 
     for query_file in _query_files(args.queries):
         query_id = query_file.stem
         query_image = load_ppm(query_file)
-        if matcher_kind == "reference":
+        if args.matcher == "reference":
             matcher = ReferenceMatcher()
-        elif matcher_kind == "oracle":
+        elif args.matcher == "oracle":
             try:
                 gt_pose = gt_trajectory.pose_for(int(query_id))
             except (ValueError, KeyError):
@@ -178,20 +143,14 @@ def _cmd_relocalize(args: argparse.Namespace) -> int:
                     f"query {query_id!r}: no ground-truth pose line for the oracle matcher"
                 ) from None
             oracle_config = OracleConfig(
-                n=int(_setting(args, config, "oracle_n", OracleConfig.n)),
-                pixel_noise_sigma=float(_setting(args, config, "noise", 0.5)),
-                outlier_fraction=float(
-                    _setting(args, config, "outlier_fraction", OracleConfig.outlier_fraction)
-                ),
-                seed=seed * 1_000_003 + int(query_id),
+                n=args.oracle_n,
+                pixel_noise_sigma=args.noise,
+                outlier_fraction=args.outlier_fraction,
+                seed=args.seed * 1_000_003 + int(query_id),
             )
             matcher = OracleMatcher(gt_pose, db.camera, oracle_config)
-        elif matcher_kind == "external":
-            matcher = ExternalMatcher(
-                _setting(args, config, "matches_dir", None), query_id, db.camera
-            )
         else:
-            raise ValueError(f"unknown matcher {matcher_kind!r}")
+            matcher = ExternalMatcher(args.matches_dir, query_id, db.camera)
 
         with recording() as spans:
             result = relocalize(query_image, scene, db, matcher, loop_config)
@@ -216,13 +175,10 @@ _RECALL_ROT = (0.5, 1.0, 2.0, 5.0)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
     results_dir = Path(args.results)
     gt_trajectory = load_trajectory(args.gt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seq_name = _setting(args, config, "seq_name", "seq1")
-    align = bool(getattr(args, "align", False) or config.get("align", False))
 
     result_files = sorted(
         p for p in results_dir.glob("*.json") if not p.name.endswith(".timing.json")
@@ -267,13 +223,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             timed_iterations += payload["iterations"]
 
     est_traj, gt_traj = make_pose_trajectories(entries)
-    _, trans_errors, rot_errors = pose_errors(est_traj, gt_traj, align=align)
+    _, trans_errors, rot_errors = pose_errors(est_traj, gt_traj, align=args.align)
 
     stats = ate_statistics(trans_errors)
-    write_ate_csv(out_dir / "ate.csv", [(seq_name, stats)])
+    write_ate_csv(out_dir / "ate.csv", [(args.seq_name, stats)])
 
-    headline_trans = float(_setting(args, config, "recall_trans", 0.10))
-    headline_rot = float(_setting(args, config, "recall_rot", 1.0))
+    headline_trans, headline_rot = args.recall_trans, args.recall_rot
     recall_payload = {
         "headline": {
             "trans_m": headline_trans,
@@ -337,76 +292,113 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The CLI's parser; with ``exit_on_error=False`` a bad value raises ``ArgumentError``."""
     parser = argparse.ArgumentParser(
         prog="splatreloc",
         description="Monocular relocalization against 3D Gaussian splat maps.",
+        exit_on_error=exit_on_error,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic scene and trajectory")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False, exit_on_error=exit_on_error)
+        p.add_argument("--config", help="JSON file of optional flag values")
+        p.set_defaults(func=func)
+        return p
+
+    p_synth = command("synth", _cmd_synth, "generate a synthetic scene and trajectory")
     p_synth.add_argument("--out", required=True, help="output scene file (.gsplat)")
     p_synth.add_argument("--traj-out", required=True, help="output trajectory pose file")
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--n-gaussians", type=int, dest="n_gaussians")
-    p_synth.add_argument("--extent", type=float)
-    p_synth.add_argument("--trajectory-length", type=float, dest="trajectory_length")
-    p_synth.add_argument("--anchor-spacing", type=float, dest="anchor_spacing")
-    p_synth.add_argument("--config")
-    p_synth.set_defaults(func=_cmd_synth)
+    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--n-gaussians", type=int, default=SyntheticSceneConfig.n_gaussians)
+    p_synth.add_argument("--extent", type=float, default=SyntheticSceneConfig.extent)
+    p_synth.add_argument(
+        "--trajectory-length", type=float, default=SyntheticSceneConfig.trajectory_length
+    )
+    p_synth.add_argument(
+        "--anchor-spacing", type=float, default=SyntheticSceneConfig.anchor_spacing
+    )
 
-    p_build = sub.add_parser("build-anchors", help="render an anchor database")
+    p_build = command("build-anchors", _cmd_build_anchors, "render an anchor database")
     p_build.add_argument("--scene", required=True)
     p_build.add_argument("--trajectory", required=True)
     p_build.add_argument("--out", required=True, help="output anchor directory")
-    p_build.add_argument("--spacing", type=float)
-    for flag in ("--fx", "--fy", "--cx", "--cy", "--near"):
-        p_build.add_argument(flag, type=float)
-    p_build.add_argument("--width", type=int)
-    p_build.add_argument("--height", type=int)
-    p_build.add_argument("--config")
-    p_build.set_defaults(func=_cmd_build_anchors)
+    p_build.add_argument("--spacing", type=float, default=SyntheticSceneConfig.anchor_spacing)
+    for name in ("fx", "fy", "cx", "cy", "near"):
+        p_build.add_argument(f"--{name}", type=float, default=getattr(DEFAULT_CAMERA, name))
+    p_build.add_argument("--width", type=int, default=DEFAULT_CAMERA.width)
+    p_build.add_argument("--height", type=int, default=DEFAULT_CAMERA.height)
 
-    p_reloc = sub.add_parser("relocalize", help="relocalize a directory of query images")
+    p_reloc = command("relocalize", _cmd_relocalize, "relocalize a directory of query images")
     p_reloc.add_argument("--scene", required=True)
     p_reloc.add_argument("--anchors", required=True, help="anchor database directory")
     p_reloc.add_argument("--queries", required=True, help="directory of query .ppm images")
     p_reloc.add_argument("--out", required=True, help="output results directory")
-    p_reloc.add_argument("--matcher", choices=("reference", "oracle", "external"))
-    p_reloc.add_argument("--query-gt", dest="query_gt", help="ground-truth poses (oracle matcher)")
-    p_reloc.add_argument("--matches-dir", dest="matches_dir", help="external match files")
-    p_reloc.add_argument("--seed", type=int)
-    p_reloc.add_argument("--oracle-n", type=int, dest="oracle_n")
-    p_reloc.add_argument("--noise", type=float, help="oracle pixel noise sigma")
     p_reloc.add_argument(
-        "--outlier-fraction", type=float, dest="outlier_fraction", help="oracle outlier fraction"
+        "--matcher", choices=("reference", "oracle", "external"), default="reference"
     )
-    p_reloc.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p_reloc.add_argument("--trans-eps", type=float, dest="trans_eps")
-    p_reloc.add_argument("--rot-eps", type=float, dest="rot_eps")
-    p_reloc.add_argument("--min-matches", type=int, dest="min_matches")
-    p_reloc.add_argument("--config")
-    p_reloc.set_defaults(func=_cmd_relocalize)
+    p_reloc.add_argument("--query-gt", help="ground-truth poses (oracle matcher)")
+    p_reloc.add_argument("--matches-dir", help="external match files")
+    p_reloc.add_argument("--seed", type=int, default=0)
+    p_reloc.add_argument("--oracle-n", type=int, default=OracleConfig.n)
+    p_reloc.add_argument("--noise", type=float, default=0.5, help="oracle pixel noise sigma")
+    p_reloc.add_argument(
+        "--outlier-fraction", type=float, default=OracleConfig.outlier_fraction,
+        help="oracle outlier fraction",
+    )
+    p_reloc.add_argument("--max-iterations", type=int, default=RelocalizeConfig.max_iterations)
+    p_reloc.add_argument("--trans-eps", type=float, default=RelocalizeConfig.trans_eps)
+    p_reloc.add_argument("--rot-eps", type=float, default=RelocalizeConfig.rot_eps)
+    p_reloc.add_argument("--min-matches", type=int, default=RelocalizeConfig.min_matches)
 
-    p_eval = sub.add_parser("evaluate", help="summarize a results directory")
+    p_eval = command("evaluate", _cmd_evaluate, "summarize a results directory")
     p_eval.add_argument("--results", required=True)
     p_eval.add_argument("--gt", required=True, help="ground-truth trajectory pose file")
-    p_eval.add_argument("--out-dir", required=True, dest="out_dir")
-    p_eval.add_argument("--seq-name", dest="seq_name")
+    p_eval.add_argument("--out-dir", required=True)
+    p_eval.add_argument("--seq-name", default="seq1")
     p_eval.add_argument("--align", action="store_true", help="rigidly align before scoring")
-    p_eval.add_argument("--recall-trans", type=float, dest="recall_trans")
-    p_eval.add_argument("--recall-rot", type=float, dest="recall_rot")
-    p_eval.add_argument("--config")
-    p_eval.set_defaults(func=_cmd_evaluate)
+    p_eval.add_argument("--recall-trans", type=float, default=0.10)
+    p_eval.add_argument("--recall-rot", type=float, default=1.0)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _parse_with_config(argv: list[str], path: str) -> argparse.Namespace:
+    """``argv`` parsed again with the JSON file's settings as flags before its own."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config file must hold a JSON object")
+    tokens = []
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        if value is False:
+            continue
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, (str, int, float)):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise ValueError(f'{path}: setting "{key}" is {json.dumps(value)}, not a scalar')
     try:
+        args, unknown = build_parser(exit_on_error=False).parse_known_args(
+            [argv[0], *tokens, *argv[1:]]
+        )
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if unknown:
+        names = ", ".join(f'"{t[2:].partition("=")[0].replace("-", "_")}"' for t in unknown)
+        raise ValueError(f"{path}: {argv[0]} has no setting {names}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        if args.config is not None:
+            args = _parse_with_config(argv, args.config)
         return args.func(args)
-    except (SplatRelocError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SplatRelocError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,8 @@ def pose_errors(
     Frames are paired by index; both trajectories must cover the same index
     set.  With ``align=True`` a rigid transform (no scale) is fit from the
     estimated to the ground-truth positions first and applied to the
-    estimates.  Returns (indices, translation_errors, rotation_errors_deg).
+    estimates; that needs at least 3 frames.  Returns (indices,
+    translation_errors, rotation_errors_deg).
     """
     if list(estimated.indices) != list(ground_truth.indices):
         raise ValueError(
@@ -54,7 +55,9 @@ def pose_errors(
         raise ValueError("cannot evaluate empty trajectories")
 
     est_poses = list(estimated.poses)
-    if align and len(est_poses) >= 3:
+    if align:
+        if len(est_poses) < 3:
+            raise ValueError(f"alignment needs at least 3 frames, got {len(est_poses)}")
         est_t = np.array([p.translation for p in est_poses])
         gt_t = np.array([p.translation for p in ground_truth.poses])
         correction = umeyama_align(est_t, gt_t)

@@ -396,6 +396,10 @@ def match_stats(matches: Matches, cam: CameraIntrinsics) -> MatchStats:
     )
 
 
+#: Pixels at the edge of a reference render that ``oracle_match`` never samples.
+ORACLE_BORDER_MARGIN = 3
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Controls for the ground-truth-driven match generator."""
@@ -404,7 +408,6 @@ class OracleConfig:
     pixel_noise_sigma: float = 0.0
     outlier_fraction: float = 0.0
     seed: int = 0
-    border_margin: int = 3  # reference pixels sampled this far from the edge
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -426,25 +429,25 @@ def oracle_match(
 ) -> tuple[Matches, np.ndarray]:
     """Manufacture correspondences from rendered depth and known poses.
 
-    Samples up to ``config.n`` valid-depth reference pixels (away from the
-    image border), lifts them through the reference depth into world space,
-    and projects them into the ground-truth query view.  Samples that fall
-    outside the query image are dropped, so the returned count tracks the
-    view overlap.  Gaussian pixel noise is added on the query side (clamped
-    to the image), and a fixed fraction of the survivors is replaced by
-    uniform random query pixels (outliers, confidence 0).
+    Samples up to ``config.n`` valid-depth reference pixels at least
+    ``ORACLE_BORDER_MARGIN`` pixels from the image border, lifts them through
+    the reference depth into world space, and projects them into the
+    ground-truth query view.  Samples that fall outside the query image are
+    dropped, so the returned count tracks the view overlap.  Gaussian pixel
+    noise is added on the query side (clamped to the image), and a fixed
+    fraction of the survivors is replaced by uniform random query pixels
+    (outliers, confidence 0).
 
     Returns the matches and a boolean outlier mask aligned with them.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    m = config.border_margin
+    m = ORACLE_BORDER_MARGIN
     valid = ref_depth > 0.0
-    if m > 0:
-        valid[:m, :] = False
-        valid[-m:, :] = False
-        valid[:, :m] = False
-        valid[:, -m:] = False
+    valid[:m, :] = False
+    valid[-m:, :] = False
+    valid[:, :m] = False
+    valid[:, -m:] = False
     rows, cols = np.nonzero(valid)
     if rows.size < config.n:
         raise ValueError(

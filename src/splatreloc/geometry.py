@@ -54,15 +54,17 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4), each (w, x, y, z)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=np.float64), -1, 0)
+    R = np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
     )
+    return R.reshape(*w.shape, 3, 3)
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -227,11 +229,6 @@ class CameraIntrinsics:
             raise ValueError("image dimensions must be positive")
         if self.near <= 0:
             raise ValueError("near plane must be positive")
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def project(self, points_cam: np.ndarray) -> np.ndarray:
         """Project camera-frame points (N, 3) to pixels (N, 2); z must be > 0."""

@@ -9,10 +9,16 @@ Provides:
     coordinates of four control points (centroid + principal axes), the
     camera-frame control points are recovered from the null space of a
     2n x 12 projection system, and the pose follows by rigid alignment,
-  * ``refine_ba``: Levenberg-Marquardt minimization of (optionally
-    Huber-robustified) reprojection error with an analytic Jacobian,
+  * ``refine_ba``: Levenberg-Marquardt minimization of Huber-robustified
+    reprojection error with an analytic Jacobian,
   * ``solve_pnp``: seeded RANSAC around minimal EPnP hypotheses with a final
     robust refinement on the consensus set.
+
+The solver settings are the module constants below: ``RANSAC_ITERATIONS``,
+``INLIER_THRESHOLD_PX`` and ``MIN_INLIERS`` for the robust solve, and
+``LM_MAX_ITERS``, ``HUBER_DELTA_PX``, ``LM_INIT_DAMPING``, ``LM_STEP_TOL`` and
+``LM_COST_TOL`` for the refinement.  ``solve_pnp(corrs, cam, seed=0)`` takes
+only the seed of its sampling generator.
 
 EPnP and rigid alignment are written once, batched: every step works on a
 stack of K independent problems, and ``epnp``/``umeyama_align`` are its
@@ -58,6 +64,19 @@ COPLANAR_VOLUME_EPS = 1e-9
 _SCORE_BLOCK = 1 << 16
 
 _PAIR_A, _PAIR_B = np.array(list(combinations(range(4), 2))).T
+
+#: Robust solve: minimal samples drawn per call, the reprojection error (px)
+#: below which a correspondence is an inlier, and the inliers a winner needs.
+RANSAC_ITERATIONS = 256
+INLIER_THRESHOLD_PX = 3.0
+MIN_INLIERS = 6
+#: Levenberg-Marquardt refinement: iteration cap, Huber loss width (px),
+#: initial damping, and the step norm or cost drop that counts as converged.
+LM_MAX_ITERS = 50
+HUBER_DELTA_PX = 2.0
+LM_INIT_DAMPING = 1e-3
+LM_STEP_TOL = 1e-10
+LM_COST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -386,47 +405,27 @@ def reprojection_residuals(
     return residuals, J.reshape(2 * n, 6)
 
 
-@dataclass(frozen=True)
-class BundleAdjustConfig:
-    """Levenberg-Marquardt settings for pose-only refinement."""
-
-    max_iters: int = 50
-    huber_delta: float | None = 2.0  # pixels; None disables the robust loss
-    init_damping: float = 1e-3
-    step_tol: float = 1e-10
-    cost_tol: float = 1e-12
-
-
-def _robust_cost_and_weights(
-    residuals: np.ndarray, huber_delta: float | None
-) -> tuple[float, np.ndarray]:
+def _robust_cost_and_weights(residuals: np.ndarray) -> tuple[float, np.ndarray]:
     """Huber cost and IRLS weights per correspondence (residuals are (2n,))."""
     errs = np.linalg.norm(residuals.reshape(-1, 2), axis=1)
-    if huber_delta is None:
-        return float(0.5 * np.sum(errs**2)), np.ones_like(errs)
-    small = errs <= huber_delta
+    small = errs <= HUBER_DELTA_PX
     cost = float(
-        np.sum(np.where(small, 0.5 * errs**2, huber_delta * (errs - 0.5 * huber_delta)))
+        np.sum(np.where(small, 0.5 * errs**2, HUBER_DELTA_PX * (errs - 0.5 * HUBER_DELTA_PX)))
     )
-    weights = np.where(small, 1.0, huber_delta / np.maximum(errs, 1e-12))
+    weights = np.where(small, 1.0, HUBER_DELTA_PX / np.maximum(errs, 1e-12))
     return cost, weights
 
 
-def refine_ba(
-    corrs: Correspondences,
-    cam: CameraIntrinsics,
-    init_pose: Pose,
-    config: BundleAdjustConfig | None = None,
-) -> SolverReport:
+def refine_ba(corrs: Correspondences, cam: CameraIntrinsics, init_pose: Pose) -> SolverReport:
     """Pose-only bundle adjustment by Levenberg-Marquardt.
 
-    Minimizes the (optionally Huber-robustified) reprojection error starting
-    from ``init_pose``.  Correspondences behind the camera at the initial
-    pose are excluded up front (at least 6 must remain); steps that raise the
-    cost or push a kept point behind the camera are rejected and the damping
-    increased, so the accepted-step cost is monotonically non-increasing.
+    Minimizes the Huber-robustified reprojection error (``HUBER_DELTA_PX``)
+    starting from ``init_pose``, for at most ``LM_MAX_ITERS`` iterations.
+    Correspondences behind the camera at the initial pose are excluded up
+    front (at least 6 must remain); steps that raise the cost or push a kept
+    point behind the camera are rejected and the damping increased, so the
+    accepted-step cost is monotonically non-increasing.
     """
-    config = config or BundleAdjustConfig()
     if len(corrs) < MIN_CORRESPONDENCES:
         raise InsufficientMatches(
             f"refine_ba needs at least {MIN_CORRESPONDENCES} correspondences, got {len(corrs)}"
@@ -443,12 +442,12 @@ def refine_ba(
 
     pose = init_pose
     residuals, J = reprojection_residuals(active, cam, pose)
-    cost, weights = _robust_cost_and_weights(residuals, config.huber_delta)
+    cost, weights = _robust_cost_and_weights(residuals)
 
-    damping = config.init_damping
+    damping = LM_INIT_DAMPING
     iterations = 0
     converged = False
-    for _ in range(config.max_iters):
+    for _ in range(LM_MAX_ITERS):
         iterations += 1
         w2 = np.repeat(weights, 2)
         JTJ = J.T @ (J * w2[:, None])
@@ -468,7 +467,7 @@ def refine_ba(
             except CheiralityViolation:
                 damping *= 10.0
                 continue
-            cand_cost, cand_weights = _robust_cost_and_weights(cand_res, config.huber_delta)
+            cand_cost, cand_weights = _robust_cost_and_weights(cand_res)
             if cand_cost <= cost:
                 step_norm = float(np.linalg.norm(step))
                 cost_drop = cost - cand_cost
@@ -476,7 +475,7 @@ def refine_ba(
                 cost, weights = cand_cost, cand_weights
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
-                if step_norm < config.step_tol or cost_drop < config.cost_tol:
+                if step_norm < LM_STEP_TOL or cost_drop < LM_COST_TOL:
                     converged = True
                 break
             damping *= 10.0
@@ -497,31 +496,15 @@ def refine_ba(
     )
 
 
-@dataclass(frozen=True)
-class RansacConfig:
-    """Settings for the robust PnP solve."""
-
-    iterations: int = 256
-    inlier_threshold: float = 3.0  # pixels
-    min_inliers: int = 6
-    seed: int = 0
-    refine: BundleAdjustConfig = BundleAdjustConfig()
-
-
 @traced("pnp.solve_pnp")
-def solve_pnp(
-    corrs: Correspondences,
-    cam: CameraIntrinsics,
-    config: RansacConfig | None = None,
-) -> SolverReport:
+def solve_pnp(corrs: Correspondences, cam: CameraIntrinsics, seed: int = 0) -> SolverReport:
     """Robust pose solve: seeded RANSAC over minimal EPnP + LM refinement.
 
     The correspondences are canonicalized (sorted) before sampling, so the
-    result is invariant to input order for a fixed seed.  Runs the full,
-    fixed iteration budget for determinism: all minimal samples are drawn,
-    solved by one batched EPnP and scored together.
+    result is invariant to input order for a fixed ``seed``.  Runs the full,
+    fixed budget of ``RANSAC_ITERATIONS`` for determinism: all minimal
+    samples are drawn, solved by one batched EPnP and scored together.
     """
-    config = config or RansacConfig()
     n = len(corrs)
     if n < MIN_CORRESPONDENCES:
         raise InsufficientMatches(
@@ -535,9 +518,9 @@ def solve_pnp(
     corrs = corrs[order]
     pixels, points = corrs.pixels, corrs.points
 
-    rng = np.random.default_rng(config.seed)
-    samples = np.empty((config.iterations, MIN_CORRESPONDENCES), dtype=np.intp)
-    for k in range(config.iterations):
+    rng = np.random.default_rng(seed)
+    samples = np.empty((RANSAC_ITERATIONS, MIN_CORRESPONDENCES), dtype=np.intp)
+    for k in range(RANSAC_ITERATIONS):
         samples[k] = rng.choice(n, size=MIN_CORRESPONDENCES, replace=False)
     hyp = _epnp_batch(pixels[samples], points[samples], cam)
     solved = np.flatnonzero(hyp.solved)
@@ -551,37 +534,37 @@ def solve_pnp(
         errs = _reproj_errors(
             hyp.rotation[hyps], hyp.translation[hyps], pixels, points, cam, cam.near
         )
-        inliers = errs < config.inlier_threshold
+        inliers = errs < INLIER_THRESHOLD_PX
         counts[ks] = np.count_nonzero(inliers, axis=1)
         with np.errstate(invalid="ignore"):  # 0 / 0 where a hypothesis has no inlier
             mean_errs[ks] = np.where(inliers, errs, 0.0).sum(axis=1) / counts[ks]
 
     # Most inliers, then the lowest mean inlier error, then the earliest sample.
-    eligible = counts >= config.min_inliers
+    eligible = counts >= MIN_INLIERS
     if not np.any(eligible):
         raise NoConsensus(
-            f"no hypothesis reached {config.min_inliers} inliers at "
-            f"{config.inlier_threshold} px over {config.iterations} iterations"
+            f"no hypothesis reached {MIN_INLIERS} inliers at "
+            f"{INLIER_THRESHOLD_PX} px over {RANSAC_ITERATIONS} iterations"
         )
     top = eligible & (counts == counts[eligible].max())
     winner = int(solved[np.argmin(np.where(top, mean_errs, np.inf))])
     winner_errs = _reproj_errors(
         hyp.rotation[winner], hyp.translation[winner], pixels, points, cam, cam.near
     )
-    best_inliers = winner_errs < config.inlier_threshold
+    best_inliers = winner_errs < INLIER_THRESHOLD_PX
 
     inlier_corrs = corrs[best_inliers]
     try:
         init = epnp(inlier_corrs, cam).pose
     except (DegenerateGeometry, CheiralityViolation, InsufficientMatches):
         init = hyp.pose(winner)  # refine straight from the winning hypothesis
-    refined = refine_ba(inlier_corrs, cam, init, config.refine)
+    refined = refine_ba(inlier_corrs, cam, init)
 
     w2c = refined.pose.inverse()
     final_errs = _reproj_errors(
         w2c.rotation_matrix(), w2c.translation, pixels, points, cam, cam.near
     )
-    final_inliers = final_errs < config.inlier_threshold
+    final_inliers = final_errs < INLIER_THRESHOLD_PX
     mean_err = float(final_errs[final_inliers].mean()) if np.any(final_inliers) else np.inf
     return SolverReport(
         pose=refined.pose,

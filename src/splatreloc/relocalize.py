@@ -58,7 +58,7 @@ from .features import (
     oracle_match,
 )
 from .geometry import CameraIntrinsics, Pose, pose_delta
-from .pnp import Correspondences, RansacConfig, SolverReport, solve_pnp
+from .pnp import Correspondences, SolverReport, solve_pnp
 from .renderer import render
 from .scene import SplatScene
 
@@ -212,7 +212,14 @@ class RelocalizeConfig:
     trans_eps: float = 0.01  # meters
     rot_eps: float = 0.01  # radians
     min_matches: int = 12
-    ransac: RansacConfig = RansacConfig()
+
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.trans_eps < 0.0:
+            raise ValueError("trans_eps must be non-negative")
+        if self.rot_eps < 0.0:
+            raise ValueError("rot_eps must be non-negative")
 
 
 @dataclass
@@ -265,7 +272,7 @@ def _solve(
     if len(corrs) < config.min_matches:
         return f"{len(corrs)} lifted correspondences < min_matches {config.min_matches}"
     try:
-        return solve_pnp(corrs, cam, config.ransac)
+        return solve_pnp(corrs, cam)
     except SplatRelocError as exc:
         return f"pose solve failed: {exc}"
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ImageFormatError
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, quat_to_matrix
 from .scene import SplatScene
 from .spans import traced
 
@@ -63,25 +63,9 @@ class RenderOutput:
     opacity: np.ndarray  # (H, W) accumulated alpha in [0, 1]
 
 
-def _quats_to_matrices(quats: np.ndarray) -> np.ndarray:
-    """Batch of (N, 4) wxyz unit quaternions to (N, 3, 3) rotation matrices."""
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    R = np.empty((quats.shape[0], 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
-
-
 def _world_covariances(quats: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """(N, 3, 3) world-frame covariances R diag(s^2) R^T of unit-quaternion Gaussians."""
-    RS = _quats_to_matrices(quats) * scales[:, None, :]  # R @ diag(s)
+    RS = quat_to_matrix(quats) * scales[:, None, :]  # R @ diag(s)
     return RS @ np.transpose(RS, (0, 2, 1))
 
 

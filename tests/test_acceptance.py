@@ -18,7 +18,6 @@ from splatreloc import (
     OracleConfig,
     OracleMatcher,
     Pose,
-    RansacConfig,
     SplatScene,
     SyntheticSceneConfig,
     ate_statistics,
@@ -322,7 +321,7 @@ def test_criterion_09_ransac_forty_percent_outliers(capsys):
     worst = 0.0
     for seed in range(50):
         pose, corrs = consistent_case(seed, n=200, noise=0.25, outliers=80)
-        report = solve_pnp(corrs, CAM, RansacConfig(seed=seed))
+        report = solve_pnp(corrs, CAM, seed=seed)
         trans, _ = pose_delta(report.pose, pose)
         worst = max(worst, trans)
         successes += trans < 0.005

@@ -7,17 +7,25 @@ import pytest
 
 from splatreloc import (
     Pose,
+    ReferenceMatcher,
+    SyntheticSceneConfig,
     Trajectory,
+    build_anchor_db,
     generate_synthetic_scene,
     load_anchor_db,
+    load_ppm,
     load_splat_scene,
     load_trajectory,
+    relocalize,
     render,
+    save_anchor_db,
     save_ppm,
+    save_result,
     save_splat_scene,
     save_trajectory,
 )
 from splatreloc.cli import main
+from splatreloc.geometry import quat_from_axis_angle
 from splatreloc.scene import DEFAULT_CAMERA
 
 
@@ -143,6 +151,18 @@ class TestBuildAnchors:
         db = load_anchor_db(tmp_path / "a")
         assert [rec.source_index for rec in db.records] == [0, 12, 24]
 
+    def test_defaults_are_the_library_defaults(self, workspace, tmp_path):
+        """The workspace map, built with no optional flags, is the library's default map."""
+        scene = load_splat_scene(workspace / "scene.gsplat")
+        trajectory = load_trajectory(workspace / "gt.txt")
+        db = build_anchor_db(scene, trajectory, DEFAULT_CAMERA, SyntheticSceneConfig.anchor_spacing)
+        save_anchor_db(tmp_path / "expected", db)
+        written = sorted(p.name for p in (workspace / "anchors").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "expected").iterdir())
+        for name in written:
+            expected = (tmp_path / "expected" / name).read_bytes()
+            assert (workspace / "anchors" / name).read_bytes() == expected
+
 
 class TestRelocalizeCommand:
     def test_writes_result_and_timing(self, workspace, tmp_path, capsys):
@@ -176,6 +196,20 @@ class TestRelocalizeCommand:
         gt = load_trajectory(workspace / "gt.txt").pose_for(0)
         estimate = np.array(payload["final_pose"][4:])
         assert np.linalg.norm(estimate - gt.translation) < 0.02
+
+    def test_defaults_are_the_library_defaults(self, workspace, tmp_path):
+        """With no optional flags: the reference matcher and RelocalizeConfig()."""
+        assert main(required_args(workspace, tmp_path, "relocalize")) == 0
+        query = load_ppm(workspace / "queries" / "0.ppm")
+        scene = load_splat_scene(workspace / "scene.gsplat")
+        db = load_anchor_db(workspace / "anchors")
+        result = relocalize(query, scene, db, ReferenceMatcher())
+        save_result(tmp_path / "expected.json", result, query_id="0")
+        assert (tmp_path / "r" / "0.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    def test_no_iterations_is_an_error(self, workspace, tmp_path, capsys):
+        assert run_relocalize(workspace, tmp_path / "o", ["--max-iterations", "0"]) == 1
+        assert capsys.readouterr().err == "error: max_iterations must be >= 1\n"
 
 
 @pytest.fixture(scope="module")
@@ -376,3 +410,104 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "no result JSON" in capsys.readouterr().err
+
+
+def required_args(workspace, tmp_path, command):
+    """``command`` with only its required flags, reading the workspace, writing to tmp_path."""
+    ws = {name: str(workspace / name) for name in ("scene.gsplat", "gt.txt", "anchors", "queries")}
+    return {
+        "synth": ["synth", "--out", str(tmp_path / "s.gsplat"),
+                  "--traj-out", str(tmp_path / "t.txt")],
+        "build-anchors": ["build-anchors", "--scene", ws["scene.gsplat"],
+                          "--trajectory", ws["gt.txt"], "--out", str(tmp_path / "a")],
+        "relocalize": ["relocalize", "--scene", ws["scene.gsplat"], "--anchors", ws["anchors"],
+                       "--queries", ws["queries"], "--out", str(tmp_path / "r")],
+    }[command]
+
+
+def with_config(tmp_path, args, settings):
+    """``args`` plus ``--config`` naming a file that holds ``settings`` as JSON."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    return [*args, "--config", str(config)]
+
+
+def evaluate_aligned(tmp_path, extra):
+    """``ate.csv`` of `evaluate` over 4 results that are the truth moved by one rigid motion."""
+    motion = Pose(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.1), np.array([0.3, 0.0, 0.0]))
+    gt = Trajectory()
+    results = tmp_path / "results"
+    results.mkdir(exist_ok=True)
+    for index, position in enumerate(np.vstack([np.zeros(3), np.eye(3)])):
+        pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), position)
+        gt.append(index, pose)
+        payload = {"status": "converged", "iterations": 1,
+                   "final_pose": [float(v) for v in motion.compose(pose).as_array()]}
+        (results / f"{index}.json").write_text(json.dumps(payload))
+    save_trajectory(tmp_path / "gt.txt", gt)
+    out = tmp_path / "eval"
+    args = ["evaluate", "--results", str(results), "--gt", str(tmp_path / "gt.txt"),
+            "--out-dir", str(out), *extra]
+    assert main(args) == 0
+    return (out / "ate.csv").read_text()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, settings, key",
+        [
+            ("relocalize", {"max_iteration": 1}, "max_iteration"),
+            ("relocalize", {"n_gausians": 5}, "n_gausians"),
+            ("build-anchors", {"fx": 300, "widht": 640}, "widht"),
+            ("synth", {"seed": 5, "n-gausians": 50}, "n_gausians"),
+        ],
+    )
+    def test_unknown_key_is_an_error(self, workspace, tmp_path, capsys, command, settings, key):
+        """A key that names no flag exactly, a prefix of one included, stops the command."""
+        args = with_config(tmp_path, required_args(workspace, tmp_path, command), settings)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f'error: {tmp_path / "config.json"}: {command} has no setting "{key}"\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_flag_prefix_is_unknown_on_the_command_line(self, workspace, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            run_relocalize(workspace, tmp_path / "o", ["--max-iteration", "1"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("seed", [5.7, 5.0, "five", True])
+    def test_seed_must_be_an_integer(self, workspace, tmp_path, capsys, seed):
+        args = with_config(tmp_path, required_args(workspace, tmp_path, "synth"), {"seed": seed})
+        assert main(args) == 1
+        assert "argument --seed:" in capsys.readouterr().err
+        assert not (tmp_path / "s.gsplat").exists()
+
+    def test_file_value_has_the_flag_type(self, workspace, tmp_path):
+        """A file's integer goes through the flag's own type: fx is a float, width an int."""
+        args = required_args(workspace, tmp_path, "build-anchors")
+        assert main(with_config(tmp_path, args, {"fx": 300, "width": 640, "height": 480})) == 0
+        camera = load_anchor_db(tmp_path / "a").camera
+        assert (camera.fx, camera.width, camera.height) == (300.0, 640, 480)
+
+    def test_non_scalar_value_is_an_error(self, workspace, tmp_path, capsys):
+        args = with_config(tmp_path, required_args(workspace, tmp_path, "synth"), {"seed": None})
+        assert main(args) == 1
+        assert 'setting "seed" is null' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "true", 1])
+    def test_switch_takes_only_a_json_boolean(self, tmp_path, capsys, value):
+        args = ["evaluate", "--results", str(tmp_path), "--gt", str(tmp_path / "gt.txt"),
+                "--out-dir", str(tmp_path / "eval")]
+        assert main(with_config(tmp_path, args, {"align": value})) == 1
+        assert "argument --align: ignored explicit argument" in capsys.readouterr().err
+
+    def test_align_true_is_the_align_flag(self, tmp_path):
+        aligned = evaluate_aligned(tmp_path, ["--align"])
+        assert evaluate_aligned(tmp_path, with_config(tmp_path, [], {"align": True})) == aligned
+        assert evaluate_aligned(tmp_path, with_config(tmp_path, [], {"align": False})) != aligned
+        assert float(aligned.splitlines()[1].split(",")[1]) < 1e-9
+
+    def test_align_with_two_frames_is_an_error(self, tmp_path, capsys):
+        """``evaluate --align`` over 2 results fails instead of scoring them unaligned."""
+        assert main([*evaluate_args(tmp_path, [(1, None), (1, None)]), "--align"]) == 1
+        assert capsys.readouterr().err == "error: alignment needs at least 3 frames, got 2\n"

@@ -103,6 +103,15 @@ class TestPoseErrors:
         assert_allclose(trans, 0.0, atol=1e-9)
         assert_allclose(rot, 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_alignment_needs_three_frames(self, rng, frames):
+        """Fewer than 3 frames cannot fix a rigid transform: an error, not a silent skip."""
+        gt = Trajectory()
+        for i in range(frames):
+            gt.append(i, random_pose(rng))
+        with pytest.raises(ValueError, match=f"at least 3 frames, got {frames}"):
+            pose_errors(gt, gt, align=True)
+
     def test_mismatched_indices_raise(self, rng):
         a = Trajectory()
         b = Trajectory()

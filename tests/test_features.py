@@ -19,6 +19,7 @@ from splatreloc import (
 from splatreloc.features import (
     DESCRIPTOR_DIM,
     MIN_IMAGE_DIM,
+    ORACLE_BORDER_MARGIN,
     DetectorConfig,
     MatcherConfig,
     detect_and_describe,
@@ -740,13 +741,14 @@ class TestOracleMatch:
             np.testing.assert_allclose(pixel_query, pixel_ref, atol=1e-9)
 
     def test_reference_pixels_respect_border_margin(self, cam):
-        config = OracleConfig(n=300, seed=2, border_margin=3)
+        config = OracleConfig(n=300, seed=2)
         matches, _ = oracle_match(
             Pose.identity(), Pose.identity(), flat_depth(cam), cam, config
         )
+        m = ORACLE_BORDER_MARGIN
         for u, v in matches.ref:
-            assert 3 <= u < cam.width - 3
-            assert 3 <= v < cam.height - 3
+            assert m <= u < cam.width - m
+            assert m <= v < cam.height - m
 
     def test_noise_standard_deviation(self, cam):
         """With identical poses the query-side displacement is exactly the

@@ -97,6 +97,14 @@ class TestQuatAlgebra:
                 quat_to_matrix(q), to_scipy(q).as_matrix(), atol=1e-12
             )
 
+    def test_to_matrix_broadcasts(self):
+        """A (2, 3, 4) stack gives (2, 3, 3, 3), each matrix bit-equal to its own call."""
+        quats = np.array(random_quats(6, seed=4)).reshape(2, 3, 4)
+        stacked = quat_to_matrix(quats)
+        assert stacked.shape == (2, 3, 3, 3)
+        for i, j in np.ndindex(2, 3):
+            np.testing.assert_array_equal(stacked[i, j], quat_to_matrix(quats[i, j]))
+
     def test_to_matrix_orthonormal(self):
         for q in random_quats(10):
             R = quat_to_matrix(q)

@@ -249,6 +249,21 @@ class TestRelocalizeLoop:
             relocalize(wrong, small_scene, anchor_db, ReferenceMatcher())
 
 
+class TestRelocalizeConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iterations", 0), ("max_iterations", -3), ("trans_eps", -1.0), ("rot_eps", -0.01)],
+    )
+    def test_no_op_settings_raise(self, field, value):
+        """A loop that could not run, or never converge, is refused by name."""
+        with pytest.raises(ValueError, match=field):
+            RelocalizeConfig(**{field: value})
+
+    def test_smallest_settings_allowed(self):
+        config = RelocalizeConfig(max_iterations=1, trans_eps=0.0, rot_eps=0.0)
+        assert (config.max_iterations, config.trans_eps, config.rot_eps) == (1, 0.0, 0.0)
+
+
 def _too_few(matches, reference, cam, tmp_path):
     return matches[:5]
 
