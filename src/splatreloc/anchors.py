@@ -28,7 +28,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -261,37 +261,51 @@ def save_anchor_db(path: str | Path, db: AnchorDatabase) -> None:
                 "descriptor": [float(v) for v in rec.descriptor],
             }
         )
-    cam = db.camera
     index = {
         "format": "anchordb v1",
         "spacing": db.spacing,
-        "camera": {
-            "fx": cam.fx,
-            "fy": cam.fy,
-            "cx": cam.cx,
-            "cy": cam.cy,
-            "width": cam.width,
-            "height": cam.height,
-            "near": cam.near,
-        },
+        "camera": asdict(db.camera),
         "anchors": entries,
     }
     (root / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
 
 
+#: Keys of ``index.json`` and of each of its anchor entries.
+_INDEX_KEYS = ("format", "spacing", "camera", "anchors")
+_ANCHOR_KEYS = ("id", "source_index", "pose", "rgb", "depth", "descriptor")
+
+
+def _check_keys(root: Path, where: str, value: object, keys: tuple[str, ...]) -> None:
+    """Raise a ``ValueError`` naming ``root`` unless ``value`` is a JSON object
+    whose keys are exactly ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{root}: {where} must be a JSON object")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f'{root}: {where} is missing "{missing[0]}"')
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f'{root}: {where} has unknown key "{unknown[0]}"')
+
+
 def load_anchor_db(path: str | Path) -> AnchorDatabase:
-    """Reload a directory written by ``save_anchor_db``."""
+    """Reload a directory written by ``save_anchor_db``.
+
+    A malformed ``index.json`` (a missing or unknown key, or a camera whose
+    keys are not exactly the ``CameraIntrinsics`` fields) raises ``ValueError``
+    naming the directory.
+    """
     root = Path(path)
     index = json.loads((root / "index.json").read_text())
-    if index.get("format") != "anchordb v1":
-        raise ValueError(f"{root}: not an anchor database (format {index.get('format')!r})")
-    c = index["camera"]
-    cam = CameraIntrinsics(
-        fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
-        width=c["width"], height=c["height"], near=c["near"],
-    )
+    fmt = index.get("format") if isinstance(index, dict) else None
+    if fmt != "anchordb v1":
+        raise ValueError(f"{root}: not an anchor database (format {fmt!r})")
+    _check_keys(root, "index.json", index, _INDEX_KEYS)
+    _check_keys(root, "camera", index["camera"], tuple(f.name for f in fields(CameraIntrinsics)))
+    cam = CameraIntrinsics(**index["camera"])
     records = []
-    for entry in index["anchors"]:
+    for i, entry in enumerate(index["anchors"]):
+        _check_keys(root, f"anchor {i}", entry, _ANCHOR_KEYS)
         records.append(
             AnchorRecord(
                 anchor_id=entry["id"],

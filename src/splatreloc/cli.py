@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +74,7 @@ _SPAN_STAGE = {
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    scene_config = SyntheticSceneConfig(
-        n_gaussians=args.n_gaussians,
-        extent=args.extent,
-        trajectory_length=args.trajectory_length,
-        anchor_spacing=args.anchor_spacing,
-    )
-    scene, trajectory = generate_synthetic_scene(args.seed, scene_config)
+    scene, trajectory = generate_synthetic_scene(args.seed, _from_args(SyntheticSceneConfig, args))
     save_splat_scene(args.out, scene)
     save_trajectory(args.traj_out, trajectory)
     print(
@@ -92,11 +87,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_build_anchors(args: argparse.Namespace) -> int:
     scene = load_splat_scene(args.scene)
     trajectory = load_trajectory(args.trajectory)
-    cam = CameraIntrinsics(
-        fx=args.fx, fy=args.fy, cx=args.cx, cy=args.cy,
-        width=args.width, height=args.height, near=args.near,
-    )
-    db = build_anchor_db(scene, trajectory, cam, args.spacing)
+    db = build_anchor_db(scene, trajectory, _from_args(CameraIntrinsics, args), args.spacing)
     save_anchor_db(args.out, db)
     print(f"build-anchors: wrote {len(db)} anchors to {args.out}")
     return 0
@@ -110,12 +101,7 @@ def _query_files(directory: str) -> list[Path]:
 
 
 def _cmd_relocalize(args: argparse.Namespace) -> int:
-    loop_config = RelocalizeConfig(
-        max_iterations=args.max_iterations,
-        trans_eps=args.trans_eps,
-        rot_eps=args.rot_eps,
-        min_matches=args.min_matches,
-    )
+    loop_config = _from_args(RelocalizeConfig, args)
     scene = load_splat_scene(args.scene)
     db = load_anchor_db(args.anchors)
     out_dir = Path(args.out)
@@ -292,6 +278,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, defaults) -> None:
+    """One ``--field-name`` flag per field of the dataclass instance ``defaults``,
+    typed and defaulted by that field's value there."""
+    for f in fields(defaults):
+        value = getattr(defaults, f.name)
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(value), default=value)
+
+
+def _from_args(cls: type, args: argparse.Namespace):
+    """The dataclass ``cls`` built from the flags ``_add_field_flags`` declared for it."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     """The CLI's parser; with ``exit_on_error=False`` a bad value raises ``ArgumentError``."""
     parser = argparse.ArgumentParser(
@@ -311,24 +310,14 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output scene file (.gsplat)")
     p_synth.add_argument("--traj-out", required=True, help="output trajectory pose file")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--n-gaussians", type=int, default=SyntheticSceneConfig.n_gaussians)
-    p_synth.add_argument("--extent", type=float, default=SyntheticSceneConfig.extent)
-    p_synth.add_argument(
-        "--trajectory-length", type=float, default=SyntheticSceneConfig.trajectory_length
-    )
-    p_synth.add_argument(
-        "--anchor-spacing", type=float, default=SyntheticSceneConfig.anchor_spacing
-    )
+    _add_field_flags(p_synth, SyntheticSceneConfig())
 
     p_build = command("build-anchors", _cmd_build_anchors, "render an anchor database")
     p_build.add_argument("--scene", required=True)
     p_build.add_argument("--trajectory", required=True)
     p_build.add_argument("--out", required=True, help="output anchor directory")
     p_build.add_argument("--spacing", type=float, default=SyntheticSceneConfig.anchor_spacing)
-    for name in ("fx", "fy", "cx", "cy", "near"):
-        p_build.add_argument(f"--{name}", type=float, default=getattr(DEFAULT_CAMERA, name))
-    p_build.add_argument("--width", type=int, default=DEFAULT_CAMERA.width)
-    p_build.add_argument("--height", type=int, default=DEFAULT_CAMERA.height)
+    _add_field_flags(p_build, DEFAULT_CAMERA)
 
     p_reloc = command("relocalize", _cmd_relocalize, "relocalize a directory of query images")
     p_reloc.add_argument("--scene", required=True)
@@ -347,10 +336,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
         "--outlier-fraction", type=float, default=OracleConfig.outlier_fraction,
         help="oracle outlier fraction",
     )
-    p_reloc.add_argument("--max-iterations", type=int, default=RelocalizeConfig.max_iterations)
-    p_reloc.add_argument("--trans-eps", type=float, default=RelocalizeConfig.trans_eps)
-    p_reloc.add_argument("--rot-eps", type=float, default=RelocalizeConfig.rot_eps)
-    p_reloc.add_argument("--min-matches", type=int, default=RelocalizeConfig.min_matches)
+    _add_field_flags(p_reloc, RelocalizeConfig())
 
     p_eval = command("evaluate", _cmd_evaluate, "summarize a results directory")
     p_eval.add_argument("--results", required=True)

@@ -15,7 +15,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -128,17 +128,9 @@ def error_histogram(
 
 def write_ate_csv(path: str | Path, rows: list[tuple[str, AteStats]]) -> None:
     """One CSV row of summary statistics per sequence."""
-    lines = ["seq,rmse,std,mean,median,min,max"]
+    lines = [",".join(["seq"] + [f.name for f in fields(AteStats)])]
     for name, stats in rows:
-        lines.append(
-            ",".join(
-                [name]
-                + [
-                    repr(float(v))
-                    for v in (stats.rmse, stats.std, stats.mean, stats.median, stats.min, stats.max)
-                ]
-            )
-        )
+        lines.append(",".join([name] + [repr(float(v)) for v in astuple(stats)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -19,7 +19,7 @@ Match-exchange file format (ASCII):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,80 +32,66 @@ MIN_IMAGE_DIM = 32
 DESCRIPTOR_DIM = 128
 
 
-def _rows(values, name: str, width: int = 0) -> np.ndarray:
-    """``values`` as float64 of shape (n, width), or (n,) when width is 0."""
-    array = np.asarray(values, dtype=np.float64)
-    trailing = (width,) if width else ()
-    if array.ndim != 1 + len(trailing) or array.shape[1:] != trailing:
-        raise ValueError(f"{name} must have shape {('n', *trailing)}, got {array.shape}")
-    return array
-
-
-def _check_rows(**arrays: np.ndarray) -> None:
-    """Raise unless every array has the same number of rows."""
-    if len({a.shape[0] for a in arrays.values()}) > 1:
-        counts = ", ".join(f"{a.shape[0]} {name}" for name, a in arrays.items())
-        raise ValueError(f"row counts differ: {counts}")
+def column(width: int = 0):
+    """A ``RowRecord`` field of shape (n, width), or (n,) when width is 0."""
+    return field(metadata={"trailing": (width,) if width else ()})
 
 
 @dataclass(frozen=True)
-class Keypoints:
+class RowRecord:
+    """Row-aligned float64 arrays, one row per item; each field is a ``column``.
+
+    Construction converts every field to float64, checks its shape, then
+    checks that all fields have the same number of rows.  ``len`` is that
+    row count; indexing by a slice, an index array or a boolean mask selects
+    the same rows of every field.
+    """
+
+    def __post_init__(self) -> None:
+        counts = {}
+        for f in fields(self):
+            array = np.asarray(getattr(self, f.name), dtype=np.float64)
+            trailing = f.metadata["trailing"]
+            if array.ndim != 1 + len(trailing) or array.shape[1:] != trailing:
+                raise ValueError(f"{f.name} must have shape {('n', *trailing)}, got {array.shape}")
+            object.__setattr__(self, f.name, array)
+            counts[f.name] = array.shape[0]
+        if len(set(counts.values())) > 1:
+            listed = ", ".join(f"{count} {name}" for name, count in counts.items())
+            raise ValueError(f"row counts differ: {listed}")
+
+    @classmethod
+    def empty(cls):
+        return cls(*(np.zeros((0, *f.metadata["trailing"])) for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return getattr(self, fields(self)[0].name).shape[0]
+
+    def __getitem__(self, index):
+        return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+@dataclass(frozen=True)
+class Keypoints(RowRecord):
     """Detected interest points, one row per keypoint."""
 
-    positions: np.ndarray  # (n, 2) sub-pixel (u, v)
-    scales: np.ndarray  # (n,) blur sigma at which each corner was found
-    scores: np.ndarray  # (n,) normalized response in [0, 1]
-
-    def __post_init__(self) -> None:
-        positions = _rows(self.positions, "positions", 2)
-        scales = _rows(self.scales, "scales")
-        scores = _rows(self.scores, "scores")
-        _check_rows(positions=positions, scales=scales, scores=scores)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "scores", scores)
-
-    @classmethod
-    def empty(cls) -> Keypoints:
-        return cls(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    def __getitem__(self, index) -> Keypoints:
-        """The keypoints selected by a slice, an index array or a boolean mask."""
-        return Keypoints(self.positions[index], self.scales[index], self.scores[index])
+    positions: np.ndarray = column(2)  # sub-pixel (u, v)
+    scales: np.ndarray = column()  # blur sigma at which each corner was found
+    scores: np.ndarray = column()  # normalized response in [0, 1]
 
 
 @dataclass(frozen=True)
-class Matches:
+class Matches(RowRecord):
     """Query-to-reference pixel correspondences, one row per match."""
 
-    query: np.ndarray  # (n, 2) pixels in the query image
-    ref: np.ndarray  # (n, 2) pixels in the reference (rendered) image
-    confidence: np.ndarray  # (n,) in [0, 1]
+    query: np.ndarray = column(2)  # pixels in the query image
+    ref: np.ndarray = column(2)  # pixels in the reference (rendered) image
+    confidence: np.ndarray = column()  # in [0, 1]
 
     def __post_init__(self) -> None:
-        query = _rows(self.query, "query", 2)
-        ref = _rows(self.ref, "ref", 2)
-        confidence = _rows(self.confidence, "confidence")
-        _check_rows(query=query, ref=ref, confidence=confidence)
-        if not np.all((confidence >= 0.0) & (confidence <= 1.0)):
+        super().__post_init__()
+        if not np.all((self.confidence >= 0.0) & (self.confidence <= 1.0)):
             raise ValueError("match confidence must lie in [0, 1]")
-        object.__setattr__(self, "query", query)
-        object.__setattr__(self, "ref", ref)
-        object.__setattr__(self, "confidence", confidence)
-
-    @classmethod
-    def empty(cls) -> Matches:
-        return cls(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
-
-    def __len__(self) -> int:
-        return self.query.shape[0]
-
-    def __getitem__(self, index) -> Matches:
-        """The matches selected by a slice, an index array or a boolean mask."""
-        return Matches(self.query[index], self.ref[index], self.confidence[index])
 
 
 @dataclass(frozen=True)
@@ -510,12 +496,18 @@ def load_matches(
     ref_size: tuple[int, int],
 ) -> Matches:
     """Read a ``matches v1`` file, validating sizes, bounds, and confidences."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    # (line number, text) of the non-blank lines; numbers count every line.
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
+        if line.strip()
+    ]
     if not lines:
         raise MatchFileError(f"{path}: empty file")
-    header = lines[0].split()
+    (_, header_line), rows = lines[0], lines[1:]
+    header = header_line.split()
     if len(header) != 7 or header[0] != "matches" or header[1] != "v1":
-        raise MatchFileError(f"{path}: bad header {lines[0]!r}")
+        raise MatchFileError(f"{path}: bad header {header_line!r}")
     try:
         qw, qh, rw, rh, count = (int(v) for v in header[2:])
     except ValueError:
@@ -525,16 +517,16 @@ def load_matches(
             f"{path}: header sizes {(qw, qh)}/{(rw, rh)} do not match images "
             f"{tuple(query_size)}/{tuple(ref_size)}"
         )
-    if count != len(lines) - 1:
-        raise MatchFileError(f"{path}: header promises {count} matches, found {len(lines) - 1}")
+    if count != len(rows):
+        raise MatchFileError(f"{path}: header promises {count} matches, found {len(rows)}")
 
     table = np.empty((count, 5))
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if len(fields) != 5:
-            raise MatchFileError(f"{path}: line {lineno}: expected 5 fields, got {len(fields)}")
+    for row, (lineno, line) in enumerate(rows):
+        tokens = line.split()
+        if len(tokens) != 5:
+            raise MatchFileError(f"{path}: line {lineno}: expected 5 fields, got {len(tokens)}")
         try:
-            uq, vq, ur, vr, conf = (float(f) for f in fields)
+            uq, vq, ur, vr, conf = (float(t) for t in tokens)
         except ValueError as exc:
             raise MatchFileError(f"{path}: line {lineno}: {exc}") from None
         if not all(np.isfinite([uq, vq, ur, vr, conf])):
@@ -545,5 +537,5 @@ def load_matches(
             raise MatchFileError(f"{path}: line {lineno}: reference pixel out of bounds")
         if not 0.0 <= conf <= 1.0:
             raise MatchFileError(f"{path}: line {lineno}: confidence out of [0, 1]")
-        table[lineno - 2] = (uq, vq, ur, vr, conf)
+        table[row] = (uq, vq, ur, vr, conf)
     return Matches(query=table[:, 0:2], ref=table[:, 2:4], confidence=table[:, 4])

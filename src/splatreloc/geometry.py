@@ -326,6 +326,6 @@ def load_trajectory(path: str | Path) -> Trajectory:
         R = M[:3, :3]
         if abs(float(np.linalg.det(R)) - 1.0) > 1e-3 or np.max(np.abs(R @ R.T - np.eye(3))) > 1e-3:
             raise PoseFileError(f"{path}: line {lineno}: rotation block is not orthonormal")
-        trajectory.append(frame, Pose(matrix_to_quat(R), M[:3, 3]))
+        trajectory.append(frame, Pose.from_matrix(M))
         frame += 1
     return trajectory

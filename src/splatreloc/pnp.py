@@ -45,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CheiralityViolation, DegenerateGeometry, InsufficientMatches, NoConsensus
-from .features import _check_rows, _rows
+from .features import RowRecord, column
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -80,25 +80,11 @@ LM_COST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Correspondences:
+class Correspondences(RowRecord):
     """Observed pixels and their world-space 3D points, one row per pair."""
 
-    pixels: np.ndarray  # (n, 2)
-    points: np.ndarray  # (n, 3)
-
-    def __post_init__(self) -> None:
-        pixels = _rows(self.pixels, "pixels", 2)
-        points = _rows(self.points, "points", 3)
-        _check_rows(pixels=pixels, points=points)
-        object.__setattr__(self, "pixels", pixels)
-        object.__setattr__(self, "points", points)
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
-
-    def __getitem__(self, index) -> Correspondences:
-        """The pairs selected by a slice, an index array or a boolean mask."""
-        return Correspondences(self.pixels[index], self.points[index])
+    pixels: np.ndarray = column(2)
+    points: np.ndarray = column(3)
 
 
 @dataclass

@@ -274,8 +274,9 @@ def generate_synthetic_scene(
     Gaussian means are uniform inside the +/- extent cube around the origin;
     opacities lie in [0.5, 1.0] and per-axis scales in [0.05, 0.5] m.  The
     camera path is a straight line offset from the cloud, every pose aimed at
-    the cloud center, so each pose keeps at least min(50, n) Gaussians inside
-    the default camera frustum.
+    the cloud center.  Each pose must keep at least min(50, n) Gaussians
+    inside the default camera frustum; a draw where one does not raises
+    ``ValueError``.
     """
     config = config or SyntheticSceneConfig()
     rng = np.random.default_rng(seed)
@@ -308,7 +309,7 @@ def generate_synthetic_scene(
     for idx, pose in trajectory:
         visible = _count_in_frustum(means, pose, DEFAULT_CAMERA)
         if visible < required:
-            raise RuntimeError(
+            raise ValueError(
                 f"synthetic pose {idx} sees only {visible} Gaussians (< {required})"
             )
     return scene, trajectory

@@ -300,6 +300,53 @@ class TestAnchorDbIO:
         with pytest.raises(FileNotFoundError):
             load_anchor_db(tmp_path / "nothing")
 
+    def edited_index(self, anchor_db, root, edit):
+        """Save the map to ``root``, then rewrite its index.json through ``edit``."""
+        save_anchor_db(root, anchor_db)
+        index = json.loads((root / "index.json").read_text())
+        edit(index)
+        (root / "index.json").write_text(json.dumps(index))
+
+    def test_camera_is_saved_as_its_fields(self, anchor_db, tmp_path):
+        save_anchor_db(tmp_path / "db", anchor_db)
+        camera = json.loads((tmp_path / "db" / "index.json").read_text())["camera"]
+        cam = anchor_db.camera
+        assert camera == {
+            "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
+            "width": cam.width, "height": cam.height, "near": cam.near,
+        }
+
+    def test_missing_anchor_key_names_directory_and_key(self, anchor_db, tmp_path):
+        root = tmp_path / "db"
+        self.edited_index(anchor_db, root, lambda index: index["anchors"][1].pop("source_index"))
+        with pytest.raises(ValueError, match=f'^{root}: anchor 1 is missing "source_index"$'):
+            load_anchor_db(root)
+
+    def test_missing_index_key_names_it(self, anchor_db, tmp_path):
+        root = tmp_path / "db"
+        self.edited_index(anchor_db, root, lambda index: index.pop("spacing"))
+        with pytest.raises(ValueError, match=f'^{root}: index.json is missing "spacing"$'):
+            load_anchor_db(root)
+
+    def test_missing_camera_key_is_not_defaulted(self, anchor_db, tmp_path):
+        """``near`` has a default in CameraIntrinsics, but a map must store it."""
+        root = tmp_path / "db"
+        self.edited_index(anchor_db, root, lambda index: index["camera"].pop("near"))
+        with pytest.raises(ValueError, match=f'^{root}: camera is missing "near"$'):
+            load_anchor_db(root)
+
+    def test_unknown_camera_key_names_it(self, anchor_db, tmp_path):
+        root = tmp_path / "db"
+        self.edited_index(anchor_db, root, lambda index: index["camera"].update(skew=0.0))
+        with pytest.raises(ValueError, match=f'^{root}: camera has unknown key "skew"$'):
+            load_anchor_db(root)
+
+    def test_camera_must_be_an_object(self, anchor_db, tmp_path):
+        root = tmp_path / "db"
+        self.edited_index(anchor_db, root, lambda index: index.update(camera=[250.0]))
+        with pytest.raises(ValueError, match=f"^{root}: camera must be a JSON object$"):
+            load_anchor_db(root)
+
 
 class TestStoredPrecision:
     """Records keep the map at the precision it is saved with."""

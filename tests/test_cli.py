@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (direct main() calls)."""
 
+import argparse
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from splatreloc import (
     save_splat_scene,
     save_trajectory,
 )
-from splatreloc.cli import main
+from splatreloc.cli import build_parser, main
 from splatreloc.geometry import quat_from_axis_angle
 from splatreloc.scene import DEFAULT_CAMERA
 
@@ -132,6 +133,16 @@ class TestSynth:
         save_trajectory(tmp_path / "expected.txt", trajectory)
         assert (tmp_path / "s.gsplat").read_bytes() == (tmp_path / "expected.gsplat").read_bytes()
         assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+
+    def test_too_few_gaussians_is_an_error_line(self, tmp_path, capsys):
+        """A scene some pose barely sees exits 1 with an error line and writes nothing."""
+        out, traj = tmp_path / "s.gsplat", tmp_path / "t.txt"
+        args = ["synth", "--out", str(out), "--traj-out", str(traj), "--n-gaussians", "50", "--seed", "5"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: synthetic pose 0 sees only 39 Gaussians (< 50)\n"
+        )
+        assert not out.exists() and not traj.exists()
 
 
 class TestBuildAnchors:
@@ -411,6 +422,23 @@ class TestErrorHandling:
         assert code == 1
         assert "no result JSON" in capsys.readouterr().err
 
+    def test_malformed_anchor_index(self, workspace, tmp_path, capsys):
+        """A map whose index.json lost a key is an error line naming the map, not a traceback."""
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        for path in (workspace / "anchors").iterdir():
+            (anchors / path.name).write_bytes(path.read_bytes())
+        index = json.loads((anchors / "index.json").read_text())
+        del index["anchors"][0]["source_index"]
+        (anchors / "index.json").write_text(json.dumps(index))
+        code = main(
+            ["relocalize", "--scene", str(workspace / "scene.gsplat"),
+             "--anchors", str(anchors),
+             "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f'error: {anchors}: anchor 0 is missing "source_index"\n'
+
 
 def required_args(workspace, tmp_path, command):
     """``command`` with only its required flags, reading the workspace, writing to tmp_path."""
@@ -511,3 +539,89 @@ class TestConfigFile:
         """``evaluate --align`` over 2 results fails instead of scoring them unaligned."""
         assert main([*evaluate_args(tmp_path, [(1, None), (1, None)]), "--align"]) == 1
         assert capsys.readouterr().err == "error: alignment needs at least 3 frames, got 2\n"
+
+
+#: Each subcommand's optional flags with their value type and default.  Many
+#: flags take their name, type and default from a library dataclass, so this
+#: table is what catches a library rename that would rename a user's flag.
+OPTIONAL_FLAGS = {
+    "synth": {
+        "--config": (str, None),
+        "--seed": (int, 0),
+        "--n-gaussians": (int, 4000),
+        "--extent": (float, 5.0),
+        "--trajectory-length": (float, 12.0),
+        "--anchor-spacing": (float, 3.0),
+    },
+    "build-anchors": {
+        "--config": (str, None),
+        "--spacing": (float, 3.0),
+        "--fx": (float, 250.0),
+        "--fy": (float, 250.0),
+        "--cx": (float, 160.0),
+        "--cy": (float, 120.0),
+        "--width": (int, 320),
+        "--height": (int, 240),
+        "--near": (float, 0.1),
+    },
+    "relocalize": {
+        "--config": (str, None),
+        "--matcher": (str, "reference"),
+        "--query-gt": (str, None),
+        "--matches-dir": (str, None),
+        "--seed": (int, 0),
+        "--oracle-n": (int, 150),
+        "--noise": (float, 0.5),
+        "--outlier-fraction": (float, 0.0),
+        "--max-iterations": (int, 10),
+        "--trans-eps": (float, 0.01),
+        "--rot-eps": (float, 0.01),
+        "--min-matches": (int, 12),
+    },
+    "evaluate": {
+        "--config": (str, None),
+        "--seq-name": (str, "seq1"),
+        "--align": (bool, False),
+        "--recall-trans": (float, 0.1),
+        "--recall-rot": (float, 1.0),
+    },
+}
+
+#: Each subcommand's required flags.
+REQUIRED_FLAGS = {
+    "synth": {"--out", "--traj-out"},
+    "build-anchors": {"--scene", "--trajectory", "--out"},
+    "relocalize": {"--scene", "--anchors", "--queries", "--out"},
+    "evaluate": {"--results", "--gt", "--out-dir"},
+}
+
+
+class TestFlagTable:
+    def subcommands(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_every_flag_keeps_its_name_type_and_default(self):
+        optional, required = {}, {}
+        for name, command in self.subcommands().items():
+            optional[name], required[name] = {}, set()
+            for action in command._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                (flag,) = action.option_strings
+                if action.required:
+                    required[name].add(flag)
+                    continue
+                # A switch (store_true) takes no value; its default is False.
+                kind = bool if action.nargs == 0 else action.type or str
+                optional[name][flag] = (kind, action.default)
+                assert type(action.default) in (kind, type(None)), flag
+        assert optional == OPTIONAL_FLAGS
+        assert required == REQUIRED_FLAGS
+
+    def test_matcher_choices(self):
+        (matcher,) = (
+            a for a in self.subcommands()["relocalize"]._actions if a.dest == "matcher"
+        )
+        assert matcher.choices == ("reference", "oracle", "external")

@@ -903,6 +903,30 @@ class TestMatchFileFormat:
         with pytest.raises(MatchFileError, match="line 3"):
             load_matches(path, (320, 240), (320, 240))
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        """Blank lines are skipped but still numbered, as in a text editor."""
+        path = tmp_path / "m.matches"
+        path.write_text(
+            "matches v1 320 240 320 240 2\n"
+            "1.0 1.0 1.0 1.0 0.5\n"
+            "\n"
+            "   \n"
+            "1.0 1.0 1.0 1.0 1.5\n"
+        )
+        with pytest.raises(MatchFileError, match=r"m\.matches: line 5: confidence out of \[0, 1\]"):
+            load_matches(path, (320, 240), (320, 240))
+        path.write_text("\nmatches v1 320 240 320 240 1\n\n1.0 1.0 1.0\n")
+        with pytest.raises(MatchFileError, match="line 4: expected 5 fields, got 3"):
+            load_matches(path, (320, 240), (320, 240))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "m.matches"
+        path.write_text("\nmatches v1 320 240 320 240 2\n\n1.0 2.0 3.0 4.0 0.5\n\n5.0 6.0 7.0 8.0 1.0\n\n")
+        matches = load_matches(path, (320, 240), (320, 240))
+        np.testing.assert_array_equal(matches.query, [[1.0, 2.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(matches.ref, [[3.0, 4.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(matches.confidence, [0.5, 1.0])
+
     def test_bad_confidence_raises(self, tmp_path):
         path = tmp_path / "m.matches"
         path.write_text("matches v1 320 240 320 240 1\n1.0 1.0 1.0 1.0 1.5\n")

@@ -542,3 +542,7 @@ class TestSyntheticSceneGenerator:
     def test_gaussian_count(self):
         scene, _ = generate_synthetic_scene(0, SyntheticSceneConfig(n_gaussians=123))
         assert len(scene) == 123
+
+    def test_too_few_visible_gaussians_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"synthetic pose 0 sees only 39 Gaussians \(< 50\)"):
+            generate_synthetic_scene(5, SyntheticSceneConfig(n_gaussians=50))
