@@ -25,6 +25,7 @@ worker count.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -270,14 +271,44 @@ def save_anchor_db(path: str | Path, db: AnchorDatabase) -> None:
     (root / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
 
 
-#: Keys of ``index.json`` and of each of its anchor entries.
-_INDEX_KEYS = ("format", "spacing", "camera", "anchors")
-_ANCHOR_KEYS = ("id", "source_index", "pose", "rgb", "depth", "descriptor")
+def _is_int(value: object) -> bool:
+    return type(value) is int  # a JSON true or false is a bool, not an int
 
 
-def _check_keys(root: Path, where: str, value: object, keys: tuple[str, ...]) -> None:
+def _is_number(value: object) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _numbers(length: int) -> tuple:
+    """The kind of a list of ``length`` finite numbers."""
+
+    def test(value: object) -> bool:
+        return isinstance(value, list) and len(value) == length and all(map(_is_number, value))
+
+    return f"a list of {length} finite numbers", test
+
+
+#: What a JSON value must be, as (description, test).
+_INT = ("an integer", _is_int)
+_NUMBER = ("a finite number", _is_number)
+_FILE_NAME = ("a file name", lambda value: isinstance(value, str) and value != "")
+_LIST = ("a list", lambda value: isinstance(value, list))
+
+#: Keys of ``index.json``, of its camera and of each of its anchor entries,
+#: with what each value must be.  The format tag and the camera object are
+#: checked on their own.
+_INDEX_KEYS = {"format": None, "spacing": _NUMBER, "camera": None, "anchors": _LIST}
+_CAMERA_KEYS = {f.name: _INT if f.type == "int" else _NUMBER for f in fields(CameraIntrinsics)}
+_ANCHOR_KEYS = {
+    "id": _INT, "source_index": _INT, "pose": _numbers(7),
+    "rgb": _FILE_NAME, "depth": _FILE_NAME, "descriptor": _numbers(GLOBAL_DESCRIPTOR_DIM),
+}
+
+
+def _check_object(root: Path, where: str, value: object, keys: dict) -> None:
     """Raise a ``ValueError`` naming ``root`` unless ``value`` is a JSON object
-    whose keys are exactly ``keys``."""
+    whose keys are exactly those of ``keys`` and whose values are what
+    ``keys`` says."""
     if not isinstance(value, dict):
         raise ValueError(f"{root}: {where} must be a JSON object")
     missing = [key for key in keys if key not in value]
@@ -286,26 +317,32 @@ def _check_keys(root: Path, where: str, value: object, keys: tuple[str, ...]) ->
     unknown = sorted(set(value) - set(keys))
     if unknown:
         raise ValueError(f'{root}: {where} has unknown key "{unknown[0]}"')
+    for key, kind in keys.items():
+        if kind is not None and not kind[1](value[key]):
+            got = json.dumps(value[key])
+            got = got if len(got) <= 80 else got[:77] + "..."
+            raise ValueError(f'{root}: {where} "{key}" must be {kind[0]}, got {got}')
 
 
 def load_anchor_db(path: str | Path) -> AnchorDatabase:
     """Reload a directory written by ``save_anchor_db``.
 
-    A malformed ``index.json`` (a missing or unknown key, or a camera whose
-    keys are not exactly the ``CameraIntrinsics`` fields) raises ``ValueError``
-    naming the directory.
+    A malformed ``index.json`` (a missing or unknown key, a camera whose
+    keys are not exactly the ``CameraIntrinsics`` fields, or a value of the
+    wrong JSON type, such as ``"fx": "250"``) raises ``ValueError`` naming
+    the directory and the key.
     """
     root = Path(path)
     index = json.loads((root / "index.json").read_text())
     fmt = index.get("format") if isinstance(index, dict) else None
     if fmt != "anchordb v1":
         raise ValueError(f"{root}: not an anchor database (format {fmt!r})")
-    _check_keys(root, "index.json", index, _INDEX_KEYS)
-    _check_keys(root, "camera", index["camera"], tuple(f.name for f in fields(CameraIntrinsics)))
+    _check_object(root, "index.json", index, _INDEX_KEYS)
+    _check_object(root, "camera", index["camera"], _CAMERA_KEYS)
     cam = CameraIntrinsics(**index["camera"])
     records = []
     for i, entry in enumerate(index["anchors"]):
-        _check_keys(root, f"anchor {i}", entry, _ANCHOR_KEYS)
+        _check_object(root, f"anchor {i}", entry, _ANCHOR_KEYS)
         records.append(
             AnchorRecord(
                 anchor_id=entry["id"],

@@ -36,6 +36,13 @@ class AteStats:
     max: float
 
 
+def _axis_points(poses: list[Pose]) -> np.ndarray:
+    """(4n, 3): each pose's position, then its position plus each camera axis."""
+    return np.concatenate(
+        [pose.translation + np.vstack([np.zeros(3), pose.rotation_matrix().T]) for pose in poses]
+    )
+
+
 def pose_errors(
     estimated: Trajectory, ground_truth: Trajectory, align: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -43,8 +50,10 @@ def pose_errors(
 
     Frames are paired by index; both trajectories must cover the same index
     set.  With ``align=True`` a rigid transform (no scale) is fit from the
-    estimated to the ground-truth positions first and applied to the
-    estimates; that needs at least 3 frames.  Returns (indices,
+    estimated to the ground-truth poses first and applied to the estimates;
+    that needs at least 3 frames.  The fit matches each frame's position and
+    the tips of its three camera axes, 1 m from it, so the orientations fix
+    the transform too, also along a straight path.  Returns (indices,
     translation_errors, rotation_errors_deg).
     """
     if list(estimated.indices) != list(ground_truth.indices):
@@ -58,9 +67,7 @@ def pose_errors(
     if align:
         if len(est_poses) < 3:
             raise ValueError(f"alignment needs at least 3 frames, got {len(est_poses)}")
-        est_t = np.array([p.translation for p in est_poses])
-        gt_t = np.array([p.translation for p in ground_truth.poses])
-        correction = umeyama_align(est_t, gt_t)
+        correction = umeyama_align(_axis_points(est_poses), _axis_points(ground_truth.poses))
         est_poses = [correction.compose(p) for p in est_poses]
 
     trans_errors = np.empty(len(est_poses))

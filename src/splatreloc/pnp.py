@@ -11,8 +11,9 @@ Provides:
     2n x 12 projection system, and the pose follows by rigid alignment,
   * ``refine_ba``: Levenberg-Marquardt minimization of Huber-robustified
     reprojection error with an analytic Jacobian,
-  * ``solve_pnp``: seeded RANSAC around minimal EPnP hypotheses with a final
-    robust refinement on the consensus set.
+  * ``solve_pnp``: seeded RANSAC over minimal EPnP hypotheses, then
+    ``refine_ba`` on the winning hypothesis's inliers, starting from that
+    hypothesis.
 
 The solver settings are the module constants below: ``RANSAC_ITERATIONS``,
 ``INLIER_THRESHOLD_PX`` and ``MIN_INLIERS`` for the robust solve, and
@@ -22,11 +23,11 @@ only the seed of its sampling generator.
 
 EPnP and rigid alignment are written once, batched: every step works on a
 stack of K independent problems, and ``epnp``/``umeyama_align`` are its
-K = 1 calls.  ``solve_pnp`` draws all of its minimal samples first, solves
-them in one batched EPnP call and scores every hypothesis against every
-correspondence in (K, N) blocks.  A sample that is coplanar or has no
-candidate in front of the camera is marked, never raised, so one bad
-sample cannot fail the batch.
+public K = 1 calls.  ``solve_pnp`` draws all of its minimal samples first,
+solves them in one batched EPnP call and scores every hypothesis against
+every correspondence in (K, N) blocks; it does not call ``epnp``.  A sample
+that is coplanar or has no candidate in front of the camera is marked,
+never raised, so one bad sample cannot fail the batch.
 
 Determinism contract of ``solve_pnp``: correspondences are lexsorted before
 sampling; each hypothesis draws ``rng.choice(n, 6, replace=False)`` from the
@@ -431,45 +432,35 @@ def refine_ba(corrs: Correspondences, cam: CameraIntrinsics, init_pose: Pose) ->
     cost, weights = _robust_cost_and_weights(residuals)
 
     damping = LM_INIT_DAMPING
-    iterations = 0
     converged = False
-    for _ in range(LM_MAX_ITERS):
-        iterations += 1
+    for iterations in range(1, LM_MAX_ITERS + 1):
         w2 = np.repeat(weights, 2)
         JTJ = J.T @ (J * w2[:, None])
         g = J.T @ (w2 * residuals)
 
-        accepted = False
         for _ in range(25):
-            H = JTJ + damping * np.eye(6)
             try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            candidate = apply_delta(pose, step)
-            try:
+                step = np.linalg.solve(JTJ + damping * np.eye(6), -g)
+                candidate = apply_delta(pose, step)
                 cand_res, cand_J = reprojection_residuals(active, cam, candidate)
-            except CheiralityViolation:
+            except (np.linalg.LinAlgError, CheiralityViolation):
                 damping *= 10.0
                 continue
             cand_cost, cand_weights = _robust_cost_and_weights(cand_res)
             if cand_cost <= cost:
-                step_norm = float(np.linalg.norm(step))
-                cost_drop = cost - cand_cost
-                pose, residuals, J = candidate, cand_res, cand_J
-                cost, weights = cand_cost, cand_weights
-                damping = max(damping / 3.0, 1e-12)
-                accepted = True
-                if step_norm < LM_STEP_TOL or cost_drop < LM_COST_TOL:
-                    converged = True
                 break
             damping *= 10.0
-        if not accepted:
-            # No damping level improved the cost: gradient is numerically zero.
+        else:
+            # No damping level lowered the cost: the gradient is numerically zero.
             converged = True
             break
-        if converged:
+
+        cost_drop = cost - cand_cost
+        pose, residuals, J = candidate, cand_res, cand_J
+        cost, weights = cand_cost, cand_weights
+        damping = max(damping / 3.0, 1e-12)
+        if float(np.linalg.norm(step)) < LM_STEP_TOL or cost_drop < LM_COST_TOL:
+            converged = True
             break
 
     errs = np.linalg.norm(residuals.reshape(-1, 2), axis=1)
@@ -490,6 +481,8 @@ def solve_pnp(corrs: Correspondences, cam: CameraIntrinsics, seed: int = 0) -> S
     result is invariant to input order for a fixed ``seed``.  Runs the full,
     fixed budget of ``RANSAC_ITERATIONS`` for determinism: all minimal
     samples are drawn, solved by one batched EPnP and scored together.
+    ``refine_ba`` then refines the winning hypothesis on its inliers; the
+    reported inliers and error are the refined pose's, over all of ``corrs``.
     """
     n = len(corrs)
     if n < MIN_CORRESPONDENCES:
@@ -537,14 +530,9 @@ def solve_pnp(corrs: Correspondences, cam: CameraIntrinsics, seed: int = 0) -> S
     winner_errs = _reproj_errors(
         hyp.rotation[winner], hyp.translation[winner], pixels, points, cam, cam.near
     )
-    best_inliers = winner_errs < INLIER_THRESHOLD_PX
-
-    inlier_corrs = corrs[best_inliers]
-    try:
-        init = epnp(inlier_corrs, cam).pose
-    except (DegenerateGeometry, CheiralityViolation, InsufficientMatches):
-        init = hyp.pose(winner)  # refine straight from the winning hypothesis
-    refined = refine_ba(inlier_corrs, cam, init)
+    # Every inlier has a finite error at the winner, so it lies in front of
+    # the near plane, and there are at least MIN_INLIERS of them.
+    refined = refine_ba(corrs[winner_errs < INLIER_THRESHOLD_PX], cam, hyp.pose(winner))
 
     w2c = refined.pose.inverse()
     final_errs = _reproj_errors(

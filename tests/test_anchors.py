@@ -130,6 +130,10 @@ class TestBuildAnchorDb:
         with pytest.raises(ValueError, match="spacing"):
             build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(5), cam, spacing=0.0)
 
+    def test_empty_trajectory_raises(self, cam):
+        with pytest.raises(TrajectoryTooShort, match="^trajectory is empty$"):
+            build_anchor_db(SplatScene(sky_color=SKY), Trajectory(), cam, spacing=3.0)
+
     def test_single_pose_raises(self, cam):
         with pytest.raises(TrajectoryTooShort):
             build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(1), cam, spacing=3.0)
@@ -345,6 +349,39 @@ class TestAnchorDbIO:
         root = tmp_path / "db"
         self.edited_index(anchor_db, root, lambda index: index.update(camera=[250.0]))
         with pytest.raises(ValueError, match=f"^{root}: camera must be a JSON object$"):
+            load_anchor_db(root)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda index: index["camera"].update(fx="250"),
+             'camera "fx" must be a finite number, got "250"'),
+            (lambda index: index["camera"].update(width=320.0),
+             'camera "width" must be an integer, got 320.0'),
+            (lambda index: index["camera"].update(near=float("nan")),
+             'camera "near" must be a finite number, got NaN'),
+            (lambda index: index["anchors"][1].update(rgb=5),
+             'anchor 1 "rgb" must be a file name, got 5'),
+            (lambda index: index["anchors"][1].update(id="1"),
+             'anchor 1 "id" must be an integer, got "1"'),
+            (lambda index: index["anchors"][0].update(source_index=True),
+             'anchor 0 "source_index" must be an integer, got true'),
+            (lambda index: index["anchors"][0]["pose"].__setitem__(6, None),
+             r'anchor 0 "pose" must be a list of 7 finite numbers, got \[.*null\]'),
+            (lambda index: index["anchors"][0]["pose"].pop(),
+             r'anchor 0 "pose" must be a list of 7 finite numbers, got \[.*\]'),
+            (lambda index: index["anchors"][2]["descriptor"].pop(),
+             r'anchor 2 "descriptor" must be a list of 192 finite numbers, got \[.{76}\.\.\.'),
+            (lambda index: index.update(spacing="3"),
+             'index.json "spacing" must be a finite number, got "3"'),
+            (lambda index: index.update(anchors={}),
+             'index.json "anchors" must be a list, got {}'),
+        ],
+    )
+    def test_wrongly_typed_value_names_its_key(self, anchor_db, tmp_path, edit, message):
+        root = tmp_path / "db"
+        self.edited_index(anchor_db, root, edit)
+        with pytest.raises(ValueError, match=f"^{root}: {message}$"):
             load_anchor_db(root)
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from splatreloc import (
+    OracleConfig,
     Pose,
     ReferenceMatcher,
+    ReferenceView,
     SyntheticSceneConfig,
     Trajectory,
     build_anchor_db,
@@ -17,9 +19,12 @@ from splatreloc import (
     load_ppm,
     load_splat_scene,
     load_trajectory,
+    oracle_match,
     relocalize,
     render,
+    retrieve,
     save_anchor_db,
+    save_matches,
     save_ppm,
     save_result,
     save_splat_scene,
@@ -223,6 +228,63 @@ class TestRelocalizeCommand:
         assert capsys.readouterr().err == "error: max_iterations must be >= 1\n"
 
 
+class TestExternalMatcherCommand:
+    """``--matcher external`` reads ``<query>_iter<k>.matches`` from ``--matches-dir``."""
+
+    @staticmethod
+    def run(workspace, tmp_path, frames):
+        """Relocalize renders of ``frames``, each with an iteration-1 match file only."""
+        scene = load_splat_scene(workspace / "scene.gsplat")
+        trajectory = load_trajectory(workspace / "gt.txt")
+        db = load_anchor_db(workspace / "anchors")
+        queries, matches_dir = tmp_path / "queries", tmp_path / "matches"
+        queries.mkdir()
+        matches_dir.mkdir()
+        size = (DEFAULT_CAMERA.width, DEFAULT_CAMERA.height)
+        for frame in frames:
+            pose = trajectory.pose_for(frame)
+            save_ppm(queries / f"{frame}.ppm", render(scene, pose, DEFAULT_CAMERA).rgb)
+            anchor = db.records[retrieve(load_ppm(queries / f"{frame}.ppm"), db)]
+            depth = ReferenceView.of_anchor(anchor).depth
+            rng = np.random.default_rng(frame)
+            matches, _ = oracle_match(pose, anchor.pose, depth, DEFAULT_CAMERA, OracleConfig(), rng)
+            save_matches(matches_dir / f"{frame}_iter1.matches", matches, size, size)
+        out = tmp_path / "results"
+        code = main(
+            ["relocalize", "--scene", str(workspace / "scene.gsplat"),
+             "--anchors", str(workspace / "anchors"), "--queries", str(queries),
+             "--out", str(out), "--matcher", "external", "--matches-dir", str(matches_dir)]
+        )
+        assert code == 0
+        return {frame: json.loads((out / f"{frame}.json").read_text()) for frame in frames}
+
+    def test_match_files_drive_the_loop(self, workspace, tmp_path):
+        """At an anchor's pose, iteration 1's file alone converges; elsewhere the
+        loop asks for an iteration-2 file, and its absence fails the query."""
+        gt = load_trajectory(workspace / "gt.txt")
+        results = self.run(workspace, tmp_path, (0, 1))
+        at_anchor, between = results[0], results[1]
+        assert at_anchor["status"] == "converged" and at_anchor["iterations"] == 1
+        assert at_anchor["traces"][0]["match_count"] == OracleConfig().n
+        position = np.array(at_anchor["final_pose"][4:])
+        assert np.linalg.norm(position - gt.pose_for(0).translation) < 1e-6
+        assert between["status"] == "failed" and between["iterations"] == 2
+        assert between["message"] == "iteration 2: 0 matches < min_matches 12"
+        assert between["traces"][0]["inlier_count"] is not None
+        assert between["final_pose"] == between["traces"][0]["pose"]
+
+    def test_matches_dir_is_required(self, workspace, tmp_path, capsys):
+        code = main(
+            ["relocalize", "--scene", str(workspace / "scene.gsplat"),
+             "--anchors", str(workspace / "anchors"),
+             "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
+             "--matcher", "external"]
+        )
+        assert code == 1
+        want = "error: --matches-dir is required with the external matcher\n"
+        assert capsys.readouterr().err == want
+
+
 @pytest.fixture(scope="module")
 def evaluated(workspace, tmp_path_factory):
     """Output directory of one `evaluate` run over one relocalized query."""
@@ -368,6 +430,32 @@ class TestErrorHandling:
         assert main(args) == 1
         assert capsys.readouterr().err == "error: 0001.json and 1.json are both results for frame 1\n"
 
+    @pytest.mark.parametrize("query_id", ["5", "q5"])
+    def test_evaluate_result_without_ground_truth_frame(self, tmp_path, capsys, query_id):
+        """A result whose frame the ground truth lacks, or that names no frame, is an error."""
+        args = evaluate_args(tmp_path, [(1, None)])
+        payload = json.loads((tmp_path / "results" / "0.json").read_text())
+        payload["query_id"] = query_id
+        (tmp_path / "results" / "0.json").write_text(json.dumps(payload))
+        assert main(args) == 1
+        want = f"error: 0.json: no ground-truth pose for query id {query_id!r}\n"
+        assert capsys.readouterr().err == want
+
+    def test_oracle_query_without_ground_truth_line(self, workspace, tmp_path, capsys):
+        """The oracle matcher needs the query's frame among the --query-gt lines."""
+        queries = tmp_path / "queries"
+        queries.mkdir()
+        (queries / "99.ppm").write_bytes((workspace / "queries" / "0.ppm").read_bytes())
+        code = main(
+            ["relocalize", "--scene", str(workspace / "scene.gsplat"),
+             "--anchors", str(workspace / "anchors"),
+             "--queries", str(queries), "--out", str(tmp_path / "o"),
+             "--matcher", "oracle", "--query-gt", str(workspace / "gt.txt")]
+        )
+        assert code == 1
+        want = "error: query '99': no ground-truth pose line for the oracle matcher\n"
+        assert capsys.readouterr().err == want
+
     def test_missing_scene_file(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(tmp_path / "nope.gsplat"),
@@ -422,22 +510,39 @@ class TestErrorHandling:
         assert code == 1
         assert "no result JSON" in capsys.readouterr().err
 
-    def test_malformed_anchor_index(self, workspace, tmp_path, capsys):
-        """A map whose index.json lost a key is an error line naming the map, not a traceback."""
+    @staticmethod
+    def relocalize_edited_map(workspace, tmp_path, edit):
+        """Exit code of ``relocalize`` on a copy of the map edited by ``edit``, and the copy."""
         anchors = tmp_path / "anchors"
         anchors.mkdir()
         for path in (workspace / "anchors").iterdir():
             (anchors / path.name).write_bytes(path.read_bytes())
         index = json.loads((anchors / "index.json").read_text())
-        del index["anchors"][0]["source_index"]
+        edit(index)
         (anchors / "index.json").write_text(json.dumps(index))
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
              "--anchors", str(anchors),
              "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o")]
         )
+        return code, anchors
+
+    def test_malformed_anchor_index(self, workspace, tmp_path, capsys):
+        """A map whose index.json lost a key is an error line naming the map, not a traceback."""
+        code, anchors = self.relocalize_edited_map(
+            workspace, tmp_path, lambda index: index["anchors"][0].pop("source_index")
+        )
         assert code == 1
         assert capsys.readouterr().err == f'error: {anchors}: anchor 0 is missing "source_index"\n'
+
+    def test_wrongly_typed_anchor_index_value(self, workspace, tmp_path, capsys):
+        """A value of the wrong JSON type is an error line naming its key, not a traceback."""
+        code, anchors = self.relocalize_edited_map(
+            workspace, tmp_path, lambda index: index["camera"].update(fx="250")
+        )
+        assert code == 1
+        want = f'error: {anchors}: camera "fx" must be a finite number, got "250"\n'
+        assert capsys.readouterr().err == want
 
 
 def required_args(workspace, tmp_path, command):

@@ -103,6 +103,20 @@ class TestPoseErrors:
         assert_allclose(trans, 0.0, atol=1e-9)
         assert_allclose(rot, 0.0, atol=1e-9)
 
+    def test_alignment_on_a_straight_path(self, rng):
+        """Collinear positions still fix the alignment: the orientations pin its roll."""
+        gt = Trajectory()
+        for i in range(5):
+            spin = quat_from_axis_angle(rng.standard_normal(3), 0.3)
+            gt.append(i, Pose(spin, np.array([0.5 * i, 0.0, 0.0])))
+        offset = random_pose(rng)
+        est = Trajectory()
+        for i, pose in gt:
+            est.append(i, offset.compose(pose))
+        _, trans, rot = pose_errors(est, gt, align=True)
+        assert_allclose(trans, 0.0, atol=1e-9)
+        assert_allclose(rot, 0.0, atol=1e-9)
+
     @pytest.mark.parametrize("frames", [1, 2])
     def test_alignment_needs_three_frames(self, rng, frames):
         """Fewer than 3 frames cannot fix a rigid transform: an error, not a silent skip."""

@@ -938,3 +938,20 @@ class TestMatchFileFormat:
         path.write_text("matches v1 320 240 320 240 1\nnan 1.0 1.0 1.0 0.5\n")
         with pytest.raises(MatchFileError, match="finite"):
             load_matches(path, (320, 240), (320, 240))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n  \n", "empty file"),
+            ("matches v1 320 240 320.0 240 1\n", "non-integer header field"),
+            ("matches v1 320 240 320 240 1\n1.0 1.0 x 1.0 0.5\n",
+             "line 2: could not convert string to float: 'x'"),
+            ("matches v1 320 240 320 240 1\n1.0 1.0 1.0 240.0 0.5\n",
+             "line 2: reference pixel out of bounds"),
+        ],
+    )
+    def test_malformed_file_names_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "m.matches"
+        path.write_text(text)
+        with pytest.raises(MatchFileError, match=f"^{path}: {message}$"):
+            load_matches(path, (320, 240), (320, 240))

@@ -155,6 +155,10 @@ class TestQuatConstruction:
             quat_from_rotvec(np.zeros(3)), [1.0, 0.0, 0.0, 0.0], atol=1e-15
         )
 
+    def test_axis_angle_zero_axis_raises(self):
+        with pytest.raises(ValueError, match="^rotation axis has near-zero norm$"):
+            quat_from_axis_angle(np.zeros(3), 0.5)
+
     def test_rotation_angle_known_value(self):
         """10 degrees about z is 0.17453293 radians."""
         q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.radians(10.0))
@@ -386,6 +390,19 @@ class TestTrajectory:
         traj = Trajectory()
         traj.append(0, Pose.identity())
         assert traj.path_length() == 0.0
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([0, 1], "^indices and poses must have equal length$"),
+            ([0, 2, 1], "^trajectory indices must be strictly increasing$"),
+            ([0, 0, 1], "^trajectory indices must be strictly increasing$"),
+        ],
+    )
+    def test_constructor_checks_indices(self, indices, message):
+        poses = [Pose.identity()] * 3
+        with pytest.raises(ValueError, match=message):
+            Trajectory(indices, poses)
 
 
 class TestTrajectoryIO:

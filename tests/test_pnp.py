@@ -177,6 +177,12 @@ class TestUmeyamaAlign:
         with pytest.raises(ValueError):
             umeyama_align(rng.normal(size=(5, 3)), rng.normal(size=(6, 3)))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 3), (15,), (5, 3, 1)])
+    def test_not_three_3d_points_raises(self, rng, shape):
+        points = rng.normal(size=shape)
+        with pytest.raises(ValueError, match=r"^need \(n, 3\) arrays with n >= 3$"):
+            umeyama_align(points, points)
+
 
 # ===========================================================================
 # Minimal solver
@@ -305,6 +311,10 @@ class TestApplyDelta:
 
 
 class TestReprojectionResiduals:
+    def test_no_correspondences_raise(self):
+        with pytest.raises(ValueError, match="^no correspondences$"):
+            reprojection_residuals(Correspondences.empty(), CAM, Pose.identity())
+
     def test_zero_residual_at_truth(self):
         pose, corrs = make_case(5, n=10)
         residuals, _ = reprojection_residuals(corrs, CAM, pose)

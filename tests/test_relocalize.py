@@ -352,6 +352,34 @@ class TestFailedIteration:
         assert payload["traces"][-1]["inlier_count"] is None
 
 
+class TestReferenceMatcher:
+    """The query's features are detected once per query array, not per call."""
+
+    @staticmethod
+    def detect_calls(query_images, reference):
+        matcher = ReferenceMatcher()
+        with recording() as spans:
+            results = [matcher.match_pair(image, reference, 1) for image in query_images]
+        return sum(name == "features.detect_and_describe" for name, _, _ in spans), results
+
+    def test_same_query_array_is_detected_once(self, anchor_db):
+        """Two calls: one query detection and two reference detections."""
+        query = anchor_db.records[2].rgb / 255.0
+        reference = ReferenceView.of_anchor(anchor_db.records[1])
+        calls, (first, second) = self.detect_calls([query, query], reference)
+        assert calls == 3
+        assert len(first) > 0
+        for field in ("query", "ref", "confidence"):
+            assert np.array_equal(getattr(first, field), getattr(second, field))
+
+    def test_equal_copy_is_detected_again(self, anchor_db):
+        """The cache keys on the array object, so an equal copy is a new query."""
+        query = anchor_db.records[2].rgb / 255.0
+        reference = ReferenceView.of_anchor(anchor_db.records[1])
+        calls, _ = self.detect_calls([query, query.copy()], reference)
+        assert calls == 4
+
+
 class TestExternalMatcher:
     def test_consumes_match_files(self, small_scene, anchor_db, cam, tmp_path):
         """Matches written as <id>_iter1.matches drive the loop to convergence."""

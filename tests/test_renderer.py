@@ -559,6 +559,12 @@ class TestPpmIO:
         with pytest.raises(ImageFormatError, match="bad PPM dimensions"):
             load_ppm(path)
 
+    def test_non_integer_size_raises(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n2.5 2\n255\n" + bytes(12))
+        with pytest.raises(ImageFormatError, match=f"^{path}: malformed PPM header$"):
+            load_ppm_levels(path)
+
 
 class TestDepthIO:
     def test_roundtrip_exact_float32(self, tmp_path, rng):
@@ -598,3 +604,13 @@ class TestDepthIO:
         path.write_bytes(struct.pack("<iii", 2, 2, 3) + bytes(4 * 4 * 3))
         with pytest.raises(ImageFormatError):
             load_depth_f32(path)
+
+    def test_file_shorter_than_header_raises(self, tmp_path):
+        path = tmp_path / "d.depth"
+        path.write_bytes(bytes(11))
+        with pytest.raises(ImageFormatError, match=f"^{path}: missing depth header$"):
+            load_depth_f32(path)
+
+    def test_save_needs_a_2d_image(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^expected an \(H, W\) depth image$"):
+            save_depth(tmp_path / "d.depth", np.zeros((4, 4, 1)))

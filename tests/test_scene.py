@@ -546,3 +546,16 @@ class TestSyntheticSceneGenerator:
     def test_too_few_visible_gaussians_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"synthetic pose 0 sees only 39 Gaussians \(< 50\)"):
             generate_synthetic_scene(5, SyntheticSceneConfig(n_gaussians=50))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_gaussians", 0, "n_gaussians must be >= 1"),
+            ("extent", 0.0, "extent, trajectory_length, anchor_spacing must be positive"),
+            ("trajectory_length", -1.0, "extent, trajectory_length, anchor_spacing must be positive"),
+            ("anchor_spacing", 0.0, "extent, trajectory_length, anchor_spacing must be positive"),
+        ],
+    )
+    def test_config_rejects_bad_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticSceneConfig(**{field: value})
