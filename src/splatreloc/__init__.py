@@ -30,9 +30,7 @@ from .evaluation import (
     write_ate_csv,
 )
 from .features import (
-    DetectorConfig,
     Keypoints,
-    MatcherConfig,
     Matches,
     MatchStats,
     OracleConfig,

@@ -153,8 +153,8 @@ def build_anchor_db(
     The anchors render in ``min(CPUs, anchors)`` worker processes and come
     back in anchor order, with the bits of a render in this process.
     """
-    if spacing <= 0:
-        raise ValueError("anchor spacing must be positive")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"anchor spacing must be positive and finite, got {spacing}")
     if len(trajectory) == 0:
         raise TrajectoryTooShort("trajectory is empty")
     if trajectory.path_length() < spacing:

@@ -4,7 +4,10 @@ The built-in detector is a multi-scale Harris corner detector with greedy
 non-maximum suppression.  Descriptors are SIFT-like 128-vectors: a 4x4 grid
 of 8-bin gradient-orientation histograms sampled around the keypoint at the
 detection scale, L2-normalized.  Matching is mutual nearest neighbor with a
-ratio test; confidence is 1 - (best / second-best distance).
+ratio test; confidence is 1 - (best / second-best distance).  Their settings
+are the module constants ``SCALES``, ``HARRIS_K``, ``REL_THRESHOLD``,
+``ABS_THRESHOLD``, ``NMS_RADIUS``, ``MAX_KEYPOINTS`` and ``MATCH_RATIO``, read
+at each call.
 
 An oracle matcher is provided for controlled experiments: it manufactures
 ground-truth correspondences from rendered depth and known poses, with
@@ -30,6 +33,21 @@ from .spans import traced
 
 MIN_IMAGE_DIM = 32
 DESCRIPTOR_DIM = 128
+
+#: Blur sigmas at which the Harris detector looks for corners.
+SCALES = (1.0, 2.0, 4.0)
+#: Trace weight k of the Harris response det(M) - k * trace(M)^2.
+HARRIS_K = 0.04
+#: A peak must exceed this fraction of the image's strongest response.
+REL_THRESHOLD = 0.01
+#: A peak must exceed this response in any image; a flatter image has no keypoints.
+ABS_THRESHOLD = 1e-10
+#: Pixels within which a keypoint suppresses weaker ones, across scales.
+NMS_RADIUS = 4.0
+#: Keypoints an image keeps, strongest first.
+MAX_KEYPOINTS = 2048
+#: A match's best / second-best descriptor distance ratio may not exceed this.
+MATCH_RATIO = 0.8
 
 
 def column(width: int = 0):
@@ -92,33 +110,6 @@ class Matches(RowRecord):
         super().__post_init__()
         if not np.all((self.confidence >= 0.0) & (self.confidence <= 1.0)):
             raise ValueError("match confidence must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Knobs for the Harris detector and descriptor extraction."""
-
-    scales: tuple[float, ...] = (1.0, 2.0, 4.0)
-    harris_k: float = 0.04
-    rel_threshold: float = 0.01  # keep responses above rel_threshold * max
-    abs_threshold: float = 1e-10
-    nms_radius: float = 4.0
-    max_keypoints: int = 2048
-
-    def __post_init__(self) -> None:
-        if self.max_keypoints < 1:
-            raise ValueError("max_keypoints must be >= 1")
-        if self.nms_radius < 0.0:
-            raise ValueError("nms_radius must be non-negative")
-        if not self.scales or min(self.scales) <= 0.0:
-            raise ValueError("scales must be a non-empty tuple of positive sigmas")
-
-
-@dataclass(frozen=True)
-class MatcherConfig:
-    """Knobs for descriptor matching."""
-
-    ratio: float = 0.8
 
 
 def to_grayscale(image: np.ndarray) -> np.ndarray:
@@ -255,28 +246,25 @@ def _describe(
 
 
 @traced("features.detect_and_describe")
-def detect_and_describe(
-    image: np.ndarray, config: DetectorConfig | None = None
-) -> tuple[Keypoints, np.ndarray]:
+def detect_and_describe(image: np.ndarray) -> tuple[Keypoints, np.ndarray]:
     """Detect Harris keypoints and compute their descriptors.
 
     Returns keypoints sorted by descending score (ties broken by position)
     and an (N, 128) descriptor array aligned with the keypoint rows.
     """
-    config = config or DetectorConfig()
     gray = to_grayscale(image)
     if min(gray.shape) < MIN_IMAGE_DIM:
         raise ValueError(
             f"image must be at least {MIN_IMAGE_DIM}px on each side, got {gray.shape}"
         )
 
-    levels = [_harris_response(gray, sigma, config.harris_k) for sigma in config.scales]
+    levels = [_harris_response(gray, sigma, HARRIS_K) for sigma in SCALES]
     global_max = max([0.0] + [float(resp.max(initial=0.0)) for _, _, resp in levels])
-    if global_max <= config.abs_threshold:
+    if global_max <= ABS_THRESHOLD:
         return Keypoints.empty(), np.zeros((0, DESCRIPTOR_DIM))
 
     # Peaks of every scale, strongest first, ties by (v, u) then scale order.
-    threshold = max(config.abs_threshold, config.rel_threshold * global_max)
+    threshold = max(ABS_THRESHOLD, REL_THRESHOLD * global_max)
     peaks = [_peaks(resp, threshold) for _, _, resp in levels]
     u, v, resp = (np.concatenate(column) for column in zip(*peaks))
     positions = np.column_stack([u, v])
@@ -285,22 +273,21 @@ def detect_and_describe(
     order = np.lexsort((u, v, -scores))
 
     # Greedy NMS across scales, then describe the survivors one scale at a time.
-    cap = 4 * config.max_keypoints
-    kept = order[_suppress(positions[order], config.nms_radius, cap)]
+    kept = order[_suppress(positions[order], NMS_RADIUS, 4 * MAX_KEYPOINTS)]
     descriptors = np.zeros((len(kept), DESCRIPTOR_DIM))
     valid = np.zeros(len(kept), dtype=bool)
-    for i, ((gx, gy, _), sigma) in enumerate(zip(levels, config.scales)):
+    for i, ((gx, gy, _), sigma) in enumerate(zip(levels, SCALES)):
         at = level[kept] == i
         descriptors[at], valid[at] = _describe(gx, gy, positions[kept[at]], sigma)
 
-    # The first max_keypoints survivors whose window could be described.
-    chosen = kept[valid][: config.max_keypoints]
+    # The first MAX_KEYPOINTS survivors whose window could be described.
+    chosen = kept[valid][:MAX_KEYPOINTS]
     keypoints = Keypoints(
         positions=positions[chosen],
-        scales=np.array(config.scales, dtype=np.float64)[level[chosen]],
+        scales=np.array(SCALES, dtype=np.float64)[level[chosen]],
         scores=scores[chosen],
     )
-    return keypoints, descriptors[valid][: config.max_keypoints]
+    return keypoints, descriptors[valid][:MAX_KEYPOINTS]
 
 
 @traced("features.match_features")
@@ -309,7 +296,6 @@ def match_features(
     descriptors_a: np.ndarray,
     keypoints_b: Keypoints,
     descriptors_b: np.ndarray,
-    config: MatcherConfig | None = None,
 ) -> Matches:
     """Mutual nearest-neighbor matching with a two-sided ratio test.
 
@@ -319,7 +305,6 @@ def match_features(
     result is symmetric in its arguments (up to swapping pixel roles).
     Matches come ordered by descriptor distance, then by query keypoint.
     """
-    config = config or MatcherConfig()
     if len(keypoints_a) == 0 or len(keypoints_b) == 0:
         return Matches.empty()
 
@@ -345,7 +330,7 @@ def match_features(
         ratios.append(ratio)
     worst = np.maximum(*ratios)
 
-    keep = worst <= config.ratio
+    keep = worst <= MATCH_RATIO
     ia, ib, worst = ia[keep], ib[keep], worst[keep]
     order = np.lexsort((ia, d2[ia, ib]))
     ia, ib, worst = ia[order], ib[order], worst[order]
@@ -400,8 +385,10 @@ class OracleConfig:
             raise ValueError("oracle n must be >= 1")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1]")
-        if self.pixel_noise_sigma < 0.0:
-            raise ValueError("pixel_noise_sigma must be non-negative")
+        if not self.pixel_noise_sigma >= 0.0:  # NaN fails too
+            raise ValueError(
+                f"pixel_noise_sigma must be non-negative, got {self.pixel_noise_sigma}"
+            )
 
 
 @traced("features.oracle_match")

@@ -223,6 +223,9 @@ class CameraIntrinsics:
     near: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("fx", "fy", "cx", "cy", "near"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"camera {name} must be finite, got {getattr(self, name)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:

@@ -46,9 +46,7 @@ import numpy as np
 from .anchors import AnchorDatabase, AnchorRecord, retrieve
 from .errors import MatchFileError, SplatRelocError
 from .features import (
-    DetectorConfig,
     Keypoints,
-    MatcherConfig,
     Matches,
     OracleConfig,
     detect_and_describe,
@@ -132,22 +130,20 @@ class Matcher(Protocol):
 
 
 class ReferenceMatcher:
-    """Detector + descriptor matching between the query and the render."""
+    """Detector + descriptor matching between the query and the render.
 
-    def __init__(
-        self,
-        detector: DetectorConfig | None = None,
-        matcher: MatcherConfig | None = None,
-    ) -> None:
-        self.detector = detector or DetectorConfig()
-        self.matcher = matcher or MatcherConfig()
+    Runs at the ``features`` module's settings; a query array's features are
+    computed once and reused while the same array comes back.
+    """
+
+    def __init__(self) -> None:
         self._query_cache: tuple[np.ndarray, Keypoints, np.ndarray] | None = None
 
     def _query_features(self, query_image: np.ndarray) -> tuple[Keypoints, np.ndarray]:
         cached = self._query_cache
         if cached is not None and cached[0] is query_image:
             return cached[1], cached[2]
-        keypoints, descriptors = detect_and_describe(query_image, self.detector)
+        keypoints, descriptors = detect_and_describe(query_image)
         self._query_cache = (query_image, keypoints, descriptors)
         return keypoints, descriptors
 
@@ -155,8 +151,8 @@ class ReferenceMatcher:
         self, query_image: np.ndarray, reference: ReferenceView, iteration: int
     ) -> Matches:
         kp_q, desc_q = self._query_features(query_image)
-        kp_r, desc_r = detect_and_describe(reference.rgb, self.detector)
-        return match_features(kp_q, desc_q, kp_r, desc_r, self.matcher)
+        kp_r, desc_r = detect_and_describe(reference.rgb)
+        return match_features(kp_q, desc_q, kp_r, desc_r)
 
 
 class OracleMatcher:
@@ -216,10 +212,11 @@ class RelocalizeConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.trans_eps < 0.0:
-            raise ValueError("trans_eps must be non-negative")
-        if self.rot_eps < 0.0:
-            raise ValueError("rot_eps must be non-negative")
+        # Written as "not >=" so that NaN, which no update falls below, fails too.
+        if not self.trans_eps >= 0.0:
+            raise ValueError(f"trans_eps must be non-negative, got {self.trans_eps}")
+        if not self.rot_eps >= 0.0:
+            raise ValueError(f"rot_eps must be non-negative, got {self.rot_eps}")
 
 
 @dataclass

@@ -130,6 +130,11 @@ class TestBuildAnchorDb:
         with pytest.raises(ValueError, match="spacing"):
             build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(5), cam, spacing=0.0)
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf])
+    def test_non_finite_spacing_raises(self, cam, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            build_anchor_db(SplatScene(sky_color=SKY), straight_trajectory(5), cam, spacing=spacing)
+
     def test_empty_trajectory_raises(self, cam):
         with pytest.raises(TrajectoryTooShort, match="^trajectory is empty$"):
             build_anchor_db(SplatScene(sky_color=SKY), Trajectory(), cam, spacing=3.0)

@@ -535,6 +535,21 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err == f'error: {anchors}: anchor 0 is missing "source_index"\n'
 
+    @pytest.mark.parametrize(
+        "flag, want",
+        [
+            ("--fx", "error: camera fx must be finite, got nan\n"),
+            ("--cy", "error: camera cy must be finite, got nan\n"),
+            ("--spacing", "error: anchor spacing must be positive and finite, got nan\n"),
+        ],
+        ids=["fx", "cy", "spacing"],
+    )
+    def test_build_anchors_rejects_nan(self, workspace, tmp_path, capsys, flag, want):
+        """A NaN camera value or spacing is an error line, and no map is written."""
+        assert main([*required_args(workspace, tmp_path, "build-anchors"), flag, "nan"]) == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "a").exists()
+
     def test_wrongly_typed_anchor_index_value(self, workspace, tmp_path, capsys):
         """A value of the wrong JSON type is an error line naming its key, not a traceback."""
         code, anchors = self.relocalize_edited_map(

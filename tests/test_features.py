@@ -16,12 +16,11 @@ from splatreloc import (
     oracle_match,
     save_matches,
 )
+from splatreloc import features
 from splatreloc.features import (
     DESCRIPTOR_DIM,
     MIN_IMAGE_DIM,
     ORACLE_BORDER_MARGIN,
-    DetectorConfig,
-    MatcherConfig,
     detect_and_describe,
     match_stats,
     to_grayscale,
@@ -114,28 +113,12 @@ class TestDetector:
         scores = kps.scores.tolist()
         assert scores == sorted(scores, reverse=True)
 
-    def test_max_keypoints_respected(self, render_pair):
+    def test_max_keypoints_respected(self, render_pair, monkeypatch):
         _, out_ref, _, _ = render_pair
-        config = DetectorConfig(max_keypoints=10)
-        kps, desc = detect_and_describe(out_ref.rgb, config)
+        monkeypatch.setattr(features, "MAX_KEYPOINTS", 10)
+        kps, desc = detect_and_describe(out_ref.rgb)
         assert len(kps) <= 10
         assert desc.shape[0] == len(kps)
-
-    @pytest.mark.parametrize(
-        "field",
-        [
-            {"max_keypoints": 0},
-            {"max_keypoints": -3},
-            {"nms_radius": -0.5},
-            {"scales": ()},
-            {"scales": (1.0, 0.0)},
-            {"scales": (-2.0,)},
-        ],
-        ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()),
-    )
-    def test_bad_config_raises(self, field):
-        with pytest.raises(ValueError):
-            DetectorConfig(**field)
 
     def test_keypoints_inside_image(self, render_pair):
         _, out_ref, _, _ = render_pair
@@ -145,10 +128,10 @@ class TestDetector:
             assert 0 <= u < W
             assert 0 <= v < H
 
-    def test_nms_enforces_min_spacing(self, render_pair):
+    def test_nms_enforces_min_spacing(self, render_pair, monkeypatch):
         _, out_ref, _, _ = render_pair
-        config = DetectorConfig(nms_radius=6.0)
-        kps, _ = detect_and_describe(out_ref.rgb, config)
+        monkeypatch.setattr(features, "NMS_RADIUS", 6.0)
+        kps, _ = detect_and_describe(out_ref.rgb)
         pts = kps.positions
         diffs = pts[:, None, :] - pts[None, :, :]
         dists = np.linalg.norm(diffs, axis=-1) + np.eye(len(pts)) * 1e9
@@ -237,14 +220,12 @@ def reference_describe(
     return flat / norm
 
 
-def reference_detect(
-    image: np.ndarray, config: DetectorConfig | None = None
-) -> tuple[Keypoints, np.ndarray]:
+def reference_detect(image: np.ndarray) -> tuple[Keypoints, np.ndarray]:
     """The per-peak, per-keypoint detector, kept as the reference for
     ``detect_and_describe``: one refine call per peak, candidate tuples, a
     grid for NMS, one describe call per keypoint, and each scale smoothed
-    again for the descriptor gradients."""
-    config = config or DetectorConfig()
+    again for the descriptor gradients.  It reads the detector constants of
+    ``splatreloc.features`` when called, as ``detect_and_describe`` does."""
     gray = to_grayscale(image)
     if min(gray.shape) < MIN_IMAGE_DIM:
         raise ValueError(
@@ -254,15 +235,15 @@ def reference_detect(
     candidates: list[tuple[float, float, float, np.ndarray]] = []  # score, v, u, (u, v, sigma)
     global_max = 0.0
     responses = {}
-    for sigma in config.scales:
-        resp = reference_harris_response(gray, sigma, config.harris_k)
+    for sigma in features.SCALES:
+        resp = reference_harris_response(gray, sigma, features.HARRIS_K)
         responses[sigma] = resp
         global_max = max(global_max, float(resp.max(initial=0.0)))
-    if global_max <= config.abs_threshold:
+    if global_max <= features.ABS_THRESHOLD:
         return Keypoints.empty(), np.zeros((0, DESCRIPTOR_DIM))
 
-    threshold = max(config.abs_threshold, config.rel_threshold * global_max)
-    for sigma in config.scales:
+    threshold = max(features.ABS_THRESHOLD, features.REL_THRESHOLD * global_max)
+    for sigma in features.SCALES:
         resp = responses[sigma]
         # 3x3 local maxima above threshold.
         interior = resp[1:-1, 1:-1]
@@ -282,8 +263,8 @@ def reference_detect(
     # A coarse occupancy grid keeps the neighbor search O(1) per candidate.
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     kept: list[tuple[float, np.ndarray]] = []
-    cell = max(config.nms_radius, 1.0)
-    r2 = config.nms_radius**2
+    cell = max(features.NMS_RADIUS, 1.0)
+    r2 = features.NMS_RADIUS**2
     occupied: dict[tuple[int, int], list[np.ndarray]] = {}
     for score, _, _, packed in candidates:
         uv = packed[:2]
@@ -303,11 +284,11 @@ def reference_detect(
             continue
         kept.append((score, packed))
         occupied.setdefault(key, []).append(uv)
-        if len(kept) >= 4 * config.max_keypoints:
+        if len(kept) >= 4 * features.MAX_KEYPOINTS:
             break
 
     gradients = {}
-    for sigma in config.scales:
+    for sigma in features.SCALES:
         gy, gx = np.gradient(gaussian_filter(gray, sigma, mode="nearest"))
         gradients[sigma] = (gx, gy)
     rows: list[np.ndarray] = []  # (u, v, sigma)
@@ -322,7 +303,7 @@ def reference_detect(
         rows.append(packed)
         scores.append(score)
         descriptors.append(desc)
-        if len(rows) >= config.max_keypoints:
+        if len(rows) >= features.MAX_KEYPOINTS:
             break
     table = np.reshape(rows, (-1, 3))
     keypoints = Keypoints(positions=table[:, :2], scales=table[:, 2], scores=scores)
@@ -343,13 +324,14 @@ def detector_images(render_pair, small_scene, small_trajectory, cam):
     }
 
 
+#: Detector constant overrides, by name, under which both detectors run.
 DETECTOR_CONFIGS = {
-    "defaults": DetectorConfig(),
-    "low_threshold": DetectorConfig(abs_threshold=1e-12, rel_threshold=1e-3),
-    "max_keypoints_5": DetectorConfig(max_keypoints=5),
-    "max_keypoints_1": DetectorConfig(max_keypoints=1),
-    "nms_radius_half": DetectorConfig(nms_radius=0.5),
-    "one_scale": DetectorConfig(scales=(2.0,)),
+    "defaults": {},
+    "low_threshold": {"ABS_THRESHOLD": 1e-12, "REL_THRESHOLD": 1e-3},
+    "max_keypoints_5": {"MAX_KEYPOINTS": 5},
+    "max_keypoints_1": {"MAX_KEYPOINTS": 1},
+    "nms_radius_half": {"NMS_RADIUS": 0.5},
+    "one_scale": {"SCALES": (2.0,)},
 }
 
 
@@ -361,11 +343,12 @@ class TestDetectorMatchesReference:
     @pytest.mark.parametrize(
         "image_name", ["render_ref", "render_query", "render_mid", "square", "constant"]
     )
-    def test_same_bytes(self, detector_images, image_name, config_name):
+    def test_same_bytes(self, detector_images, image_name, config_name, monkeypatch):
         image = detector_images[image_name]
-        config = DETECTOR_CONFIGS[config_name]
-        kps, desc = detect_and_describe(image, config)
-        ref_kps, ref_desc = reference_detect(image, config)
+        for name, value in DETECTOR_CONFIGS[config_name].items():
+            monkeypatch.setattr(features, name, value)
+        kps, desc = detect_and_describe(image)
+        ref_kps, ref_desc = reference_detect(image)
         for got, expected in (
             (kps.positions, ref_kps.positions),
             (kps.scales, ref_kps.scales),
@@ -412,12 +395,14 @@ class TestMatchFeatures:
         assert len(set(ref_keys)) == len(ref_keys)
         assert len(set(query_keys)) == len(query_keys)
 
-    def test_stricter_ratio_gives_subset(self, render_pair):
+    def test_stricter_ratio_gives_subset(self, render_pair, monkeypatch):
         _, out_ref, _, out_query = render_pair
         kps_a, desc_a = detect_and_describe(out_query.rgb)
         kps_b, desc_b = detect_and_describe(out_ref.rgb)
-        loose = match_features(kps_a, desc_a, kps_b, desc_b, MatcherConfig(ratio=0.9))
-        strict = match_features(kps_a, desc_a, kps_b, desc_b, MatcherConfig(ratio=0.6))
+        monkeypatch.setattr(features, "MATCH_RATIO", 0.9)
+        loose = match_features(kps_a, desc_a, kps_b, desc_b)
+        monkeypatch.setattr(features, "MATCH_RATIO", 0.6)
+        strict = match_features(kps_a, desc_a, kps_b, desc_b)
         loose_pairs = set(zip(map(tuple, loose.query), map(tuple, loose.ref)))
         strict_pairs = set(zip(map(tuple, strict.query), map(tuple, strict.ref)))
         assert strict_pairs <= loose_pairs
@@ -523,7 +508,9 @@ class TestMatchFeaturesMatchesReference:
     """The array matcher returns the former loop's matches bit for bit, in order."""
 
     def assert_same(self, kps_a, desc_a, kps_b, desc_b, ratio=0.8):
-        got = match_features(kps_a, desc_a, kps_b, desc_b, MatcherConfig(ratio=ratio))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "MATCH_RATIO", ratio)
+            got = match_features(kps_a, desc_a, kps_b, desc_b)
         query, ref, confidence = reference_match_features(kps_a, desc_a, kps_b, desc_b, ratio)
         assert got.query.tobytes() == query.tobytes()
         assert got.ref.tobytes() == ref.tobytes()
@@ -823,6 +810,8 @@ class TestOracleMatch:
             OracleConfig(outlier_fraction=1.5)
         with pytest.raises(ValueError):
             OracleConfig(pixel_noise_sigma=-1.0)
+        with pytest.raises(ValueError, match="pixel_noise_sigma"):
+            OracleConfig(pixel_noise_sigma=float("nan"))
 
 
 # ===========================================================================

@@ -353,6 +353,14 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=250, fy=250, cx=160, cy=120, width=320, height=240, near=0)
 
+    @pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy", "near"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_raises(self, name, value):
+        """NaN compares false against every bound, so it is refused by name."""
+        params = dict(fx=250, fy=250, cx=160, cy=120, width=320, height=240, near=0.1)
+        with pytest.raises(ValueError, match=f"camera {name} must be finite"):
+            CameraIntrinsics(**{**params, name: value})
+
 
 # ===========================================================================
 # Trajectory container + disk format

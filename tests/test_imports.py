@@ -1,13 +1,15 @@
-"""The import boundary: only feature detection loads SciPy.
+"""The package's public names, and the import boundary: only feature
+detection loads SciPy.
 
-Each check runs in a fresh interpreter, because this test process has SciPy
-loaded already (``tests/test_features.py`` imports it).
+Each boundary check runs in a fresh interpreter, because this test process
+has SciPy loaded already (``tests/test_features.py`` imports it).
 """
 
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -124,3 +126,35 @@ def test_only_detection_loads_scipy(tmp_path):
 def test_cli_runs_without_scipy(tmp_path):
     """synth, build-anchors, oracle relocalize and evaluate need no SciPy at all."""
     assert json.loads(run_python(CLI_WITHOUT_SCIPY, tmp_path)) == [0, 0, 0, 0]
+
+
+PUBLIC_NAMES = [
+    "AnchorDatabase", "AnchorRecord", "AteStats", "CameraIntrinsics", "CheiralityViolation",
+    "Correspondences", "DEFAULT_CAMERA", "DegenerateGeometry", "ExternalMatcher",
+    "ImageFormatError", "InsufficientMatches", "IterationTrace", "Keypoints", "MatchFileError",
+    "MatchStats", "Matches", "NoConsensus", "OracleConfig", "OracleMatcher", "Pose",
+    "PoseFileError", "ReferenceMatcher", "ReferenceView", "RelocalizationResult",
+    "RelocalizeConfig", "RenderOutput", "SolverReport", "SplatFormatError", "SplatRelocError",
+    "SplatScene", "SyntheticSceneConfig", "Trajectory", "TrajectoryTooShort", "apply_delta",
+    "ate_statistics", "build_anchor_db", "detect_and_describe", "epnp", "error_histogram",
+    "generate_synthetic_scene", "global_descriptor", "lift_to_3d", "load_anchor_db",
+    "load_depth_f32", "load_matches", "load_ppm", "load_ppm_levels", "load_splat_scene",
+    "load_trajectory", "look_at", "match_features", "match_stats", "oracle_match", "pose_delta",
+    "pose_errors", "recall_at", "recording", "refine_ba", "relocalize", "render",
+    "reprojection_residuals", "retrieve", "save_anchor_db", "save_depth", "save_matches",
+    "save_ppm", "save_ppm_levels", "save_result", "save_splat_scene", "save_trajectory",
+    "solve_pnp", "to_levels", "traced", "umeyama_align", "write_ate_csv",
+]
+
+
+def test_public_names():
+    """The package's public names, sorted; adding or removing one edits this list.
+
+    Submodules are left out: they become attributes as they are imported, so
+    the set would depend on what ran before.
+    """
+    names = sorted(
+        name for name, value in vars(splatreloc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -252,7 +252,10 @@ class TestRelocalizeLoop:
 class TestRelocalizeConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("max_iterations", 0), ("max_iterations", -3), ("trans_eps", -1.0), ("rot_eps", -0.01)],
+        [
+            ("max_iterations", 0), ("max_iterations", -3), ("trans_eps", -1.0),
+            ("rot_eps", -0.01), ("trans_eps", float("nan")), ("rot_eps", float("nan")),
+        ],
     )
     def test_no_op_settings_raise(self, field, value):
         """A loop that could not run, or never converge, is refused by name."""
