@@ -53,10 +53,8 @@ from .geometry import (
 from .pnp import (
     Correspondences,
     SolverReport,
-    apply_delta,
     epnp,
     refine_ba,
-    reprojection_residuals,
     solve_pnp,
     umeyama_align,
 )

@@ -307,7 +307,9 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
         return p
 
     p_synth = command("synth", _cmd_synth, "generate a synthetic scene and trajectory")
-    p_synth.add_argument("--out", required=True, help="output scene file (.gsplat)")
+    p_synth.add_argument(
+        "--out", required=True, help="output scene file (.gsplat, binary gsplat v2)"
+    )
     p_synth.add_argument("--traj-out", required=True, help="output trajectory pose file")
     p_synth.add_argument("--seed", type=int, default=0)
     _add_field_flags(p_synth, SyntheticSceneConfig())

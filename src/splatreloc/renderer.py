@@ -46,7 +46,8 @@ from .spans import traced
 COV2D_REGULARIZATION = 0.3
 #: Gaussians are cut off beyond 3 sigma of screen-space extent.
 EXTENT_SIGMA = 3.0
-#: Per-pixel compositing stops once transmittance drops below this.
+#: A Gaussian is skipped when every pixel of its square box has transmittance
+#: below this; compositing itself never stops per pixel (module docstring).
 TRANSMITTANCE_FLOOR = 1e-4
 #: Accumulated opacity needed before the depth channel counts as valid.
 DEPTH_VALID_OPACITY = 0.5

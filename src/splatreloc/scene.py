@@ -1,29 +1,29 @@
 """Gaussian splat scenes: container types, file format, synthetic generation.
 
-Scene file layout (ASCII, whitespace separated):
+Scene file layout (``gsplat v2``): one ASCII header line, then
+little-endian float64 (``<f8``) values and nothing else:
 
-    gsplat v1 <count>
-    sky <r> <g> <b>
+    gsplat v2 <count>\\n
+    <r> <g> <b>                                                    sky color
     <mx> <my> <mz> <qw> <qx> <qy> <qz> <sx> <sy> <sz> <opacity> <r> <g> <b>
-    ...
+    ...                                                  count records of 14
 
-The ``sky`` line is optional and defaults to black.  Each record holds the
-Gaussian mean (m), orientation quaternion (q, wxyz), per-axis standard
-deviations (s, meters), opacity in (0, 1], and RGB color in [0, 1].
+Each record holds the Gaussian mean (m), orientation quaternion (q, wxyz),
+per-axis standard deviations (s, meters), opacity in (0, 1], and RGB color in
+[0, 1].  float64 keeps every bit of the arrays, so loading maps the file
+with one ``np.memmap`` and parses nothing.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
 from .errors import SplatFormatError
 from .geometry import _QUAT_NORM_EPS, CameraIntrinsics, Pose, Trajectory, look_at
-
-RECORD_FIELDS = 14
 
 #: Camera used by the synthetic generator's visibility guarantee and by the
 #: command-line defaults: QVGA pinhole with a ~65 degree horizontal FOV.
@@ -33,6 +33,10 @@ DEFAULT_CAMERA = CameraIntrinsics(fx=250.0, fy=250.0, cx=160.0, cy=120.0, width=
 #: Per-Gaussian arrays of a scene, in file-record order, with their widths
 #: (None for one value per Gaussian).
 _ARRAY_WIDTHS = {"means": 3, "quats": 4, "scales": 3, "opacities": None, "colors": 3}
+#: Values in one file record: the widths above, one for each None.
+RECORD_FIELDS = sum(width or 1 for width in _ARRAY_WIDTHS.values())
+_FILE_DTYPE = np.dtype("<f8")
+_MAGIC = b"gsplat v2"
 
 
 def _first_fault(
@@ -128,108 +132,66 @@ class SplatScene:
 
 
 def save_splat_scene(path: str | Path, scene: SplatScene) -> None:
-    """Write a scene in the ``gsplat v1`` ASCII format."""
+    """Write a scene in the ``gsplat v2`` binary format (module docstring)."""
     records = np.column_stack(list(scene.arrays().values()))
-    lines = [f"gsplat v1 {len(scene)}"]
-    lines.append("sky " + " ".join(repr(float(v)) for v in scene.sky_color))
-    lines.extend(" ".join(map(repr, record)) for record in records.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as f:
+        f.write(_MAGIC + f" {len(scene)}\n".encode())
+        f.write(scene.sky_color.astype(_FILE_DTYPE).tobytes())
+        f.write(records.astype(_FILE_DTYPE).tobytes())
 
 
 def _scene_of_records(records: np.ndarray, sky: np.ndarray, path: str | Path) -> SplatScene:
     """Scene from (n, 14) file records; a broken rule becomes a format error."""
+    columns, start = {}, 0
+    for name, width in _ARRAY_WIDTHS.items():
+        columns[name] = records[:, start] if width is None else records[:, start : start + width]
+        start += width or 1
     try:
-        return SplatScene(
-            records[:, 0:3], records[:, 3:7], records[:, 7:10], records[:, 10], records[:, 11:14], sky
-        )
+        return SplatScene(**columns, sky_color=sky)
     except ValueError as exc:
         raise SplatFormatError(f"{path}: {exc}") from None
 
 
-def _next_nonblank(f: TextIO) -> tuple[int, str]:
-    """Position and text (newline stripped) of f's next non-blank line; "" at the end."""
-    while True:
-        pos = f.tell()
-        line = f.readline()
-        if not line or line.strip():
-            return pos, line.rstrip("\n")
-
-
-def _parse_lines(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Sky and (count, 14) records of a scene file.
-
-    The header and sky lines are read one at a time, and the open file goes
-    on to one ``np.loadtxt`` call, which reads the records in chunks.  When
-    that fails, or does not give ``count`` rows of 14 values, the records
-    are read again as lines, counted and parsed one at a time, which raises
-    the ``SplatFormatError`` that names the file's first fault and accepts
-    every number spelling ``float`` does (such as ``1_0``).  Lines end at
-    LF, CRLF or CR; any other whitespace separates fields.
-    """
-    with open(path) as f:
-        _, first = _next_nonblank(f)
-        if not first:
-            raise SplatFormatError(f"{path}: empty file")
-        header = first.split()
-        if len(header) != 3 or header[0] != "gsplat" or header[1] != "v1":
-            raise SplatFormatError(f"{path}: bad header {first!r}")
-        try:
-            count = int(header[2])
-        except ValueError:
-            raise SplatFormatError(f"{path}: bad header count {header[2]!r}") from None
-        if count < 0:
-            raise SplatFormatError(f"{path}: negative count in header")
-
-        body_pos, line = _next_nonblank(f)
-        sky = np.zeros(3)
-        if line and line.split()[0] == "sky":
-            sky_fields = line.split()[1:]
-            if len(sky_fields) != 3:
-                raise SplatFormatError(f"{path}: sky line must have 3 components")
-            try:
-                sky = np.array([float(v) for v in sky_fields])
-            except ValueError as exc:
-                raise SplatFormatError(f"{path}: sky line: {exc}") from None
-            if not np.all(np.isfinite(sky)) or np.any(sky < 0.0) or np.any(sky > 1.0):
-                raise SplatFormatError(f"{path}: sky color must lie in [0, 1]")
-            body_pos, line = _next_nonblank(f)
-
-        # line is the first record, "" when there is none (loadtxt warns on no data).
-        if count > 0 and line:
-            f.seek(body_pos)
-            try:
-                records = np.loadtxt(f, comments=None, ndmin=2)
-            except ValueError:
-                records = None
-            if records is not None and records.shape == (count, RECORD_FIELDS):
-                return sky, records
-        f.seek(body_pos)
-        lines = [ln for ln in f if ln.strip()]
-    if len(lines) != count:
-        raise SplatFormatError(f"{path}: header promises {count} records, found {len(lines)}")
-    rows: list[list[float]] = []
-    for i, line in enumerate(lines):
-        fields = line.split()
-        try:
-            if len(fields) != RECORD_FIELDS:
-                raise ValueError(f"expected {RECORD_FIELDS} fields, got {len(fields)}")
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            # A rule broken by an earlier record is that record's fault, reported first.
-            _scene_of_records(np.array(rows).reshape(-1, RECORD_FIELDS), sky, path)
-            raise SplatFormatError(f"{path}: record {i}: {exc}") from None
-    return sky, np.array(rows).reshape(-1, RECORD_FIELDS)
-
-
 def load_splat_scene(path: str | Path) -> SplatScene:
-    """Read a ``gsplat v1`` scene file, validating every record.
+    """Read a ``gsplat v2`` scene file, validating every record.
 
-    The records are parsed in one pass and validated once by ``SplatScene``;
-    a ``SplatFormatError`` names the file's first fault, for a record as
-    ``record i: ...``.
+    The header must be ``gsplat v2 <count>`` and the rest exactly the sky and
+    ``count`` records.  The values are validated once by ``SplatScene``; a
+    ``SplatFormatError`` names the file's first fault, for a record as
+    ``record i: ...``.  A ``gsplat v1`` text file is refused: README.md
+    (*File formats*) shows how to convert one.
     """
-    sky, records = _parse_lines(path)
-    return _scene_of_records(records, sky, path)
+    with open(path, "rb") as f:
+        start = f.read(64)
+        if start.split()[:2] == [b"gsplat", b"v1"]:
+            raise SplatFormatError(
+                f"{path}: a gsplat v1 text scene; convert it to gsplat v2 as README.md "
+                "(File formats) shows"
+            )
+        head, newline, _ = start.partition(b"\n")
+        magic, _, count_text = head.rpartition(b" ")
+        if not newline or magic != _MAGIC:
+            raise SplatFormatError(f"{path}: bad header {head!r}")
+        if not count_text.isdigit():
+            raise SplatFormatError(
+                f"{path}: bad header count {count_text.decode(errors='replace')!r}"
+            )
+        count = int(count_text)
+        n_values = 3 + RECORD_FIELDS * count
+        size = _FILE_DTYPE.itemsize * n_values
+        found = os.fstat(f.fileno()).st_size - len(head) - 1
+        if found != size:
+            raise SplatFormatError(
+                f"{path}: header promises {count} records ({size} bytes after the header), "
+                f"found {found} bytes"
+            )
+        # A mapped view, not a read copy: freeing a multi-MB read buffer makes
+        # glibc serve later allocations of that size from the heap, which
+        # raised map-build peak RSS by about 4 MB.
+        values = np.memmap(
+            f, dtype=_FILE_DTYPE, mode="r", offset=len(head) + 1, shape=(n_values,)
+        )
+    return _scene_of_records(values[3:].reshape(count, RECORD_FIELDS), values[:3], path)
 
 
 @dataclass(frozen=True)

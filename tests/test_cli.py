@@ -466,6 +466,23 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_v1_text_scene_file(self, workspace, tmp_path, capsys):
+        """A scene in the old text format is refused with an error line, not a traceback."""
+        scene = tmp_path / "v1.gsplat"
+        scene.write_text("gsplat v1 1\nsky 0 0 0\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n")
+        code = main(
+            ["relocalize", "--scene", str(scene),
+             "--anchors", str(workspace / "anchors"),
+             "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
+             "--matcher", "oracle", "--query-gt", str(workspace / "gt.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {scene}: a gsplat v1 text scene; convert it to gsplat v2 as README.md "
+            "(File formats) shows\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_requires_ground_truth(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),

@@ -135,13 +135,13 @@ PUBLIC_NAMES = [
     "MatchStats", "Matches", "NoConsensus", "OracleConfig", "OracleMatcher", "Pose",
     "PoseFileError", "ReferenceMatcher", "ReferenceView", "RelocalizationResult",
     "RelocalizeConfig", "RenderOutput", "SolverReport", "SplatFormatError", "SplatRelocError",
-    "SplatScene", "SyntheticSceneConfig", "Trajectory", "TrajectoryTooShort", "apply_delta",
+    "SplatScene", "SyntheticSceneConfig", "Trajectory", "TrajectoryTooShort",
     "ate_statistics", "build_anchor_db", "detect_and_describe", "epnp", "error_histogram",
     "generate_synthetic_scene", "global_descriptor", "lift_to_3d", "load_anchor_db",
     "load_depth_f32", "load_matches", "load_ppm", "load_ppm_levels", "load_splat_scene",
     "load_trajectory", "look_at", "match_features", "match_stats", "oracle_match", "pose_delta",
     "pose_errors", "recall_at", "recording", "refine_ba", "relocalize", "render",
-    "reprojection_residuals", "retrieve", "save_anchor_db", "save_depth", "save_matches",
+    "retrieve", "save_anchor_db", "save_depth", "save_matches",
     "save_ppm", "save_ppm_levels", "save_result", "save_splat_scene", "save_trajectory",
     "solve_pnp", "to_levels", "traced", "umeyama_align", "write_ate_csv",
 ]

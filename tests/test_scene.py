@@ -1,5 +1,7 @@
 """Gaussian primitives, scene file format, and the synthetic scene generator."""
 
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -44,79 +46,21 @@ def one_gaussian(**overrides) -> SplatScene:
     return SplatScene(**arrays)
 
 
-def reference_load(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Sky and arrays of a scene file, read one record at a time.
+def read_v2(path) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Header line, sky and (count, 14) records of a ``gsplat v2`` file.
 
-    The record-by-record loader that built one validated Gaussian per line,
-    kept as the reference for the vectorized ``load_splat_scene``: same
-    errors, and quaternions normalized one at a time by ``quat_normalize``.
+    Read without the loader, so tests see the bytes the saver wrote.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise SplatFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "gsplat" or header[1] != "v1":
-        raise SplatFormatError(f"{path}: bad header {lines[0]!r}")
-    try:
-        count = int(header[2])
-    except ValueError:
-        raise SplatFormatError(f"{path}: bad header count {header[2]!r}") from None
-    if count < 0:
-        raise SplatFormatError(f"{path}: negative count in header")
-    body = lines[1:]
-    sky = np.zeros(3)
-    if body and body[0].split()[0] == "sky":
-        sky_fields = body[0].split()[1:]
-        if len(sky_fields) != 3:
-            raise SplatFormatError(f"{path}: sky line must have 3 components")
-        try:
-            sky = np.array([float(f) for f in sky_fields])
-        except ValueError as exc:
-            raise SplatFormatError(f"{path}: sky line: {exc}") from None
-        if not np.all(np.isfinite(sky)) or np.any(sky < 0.0) or np.any(sky > 1.0):
-            raise SplatFormatError(f"{path}: sky color must lie in [0, 1]")
-        body = body[1:]
-    if len(body) != count:
-        raise SplatFormatError(f"{path}: header promises {count} records, found {len(body)}")
-
-    columns = {"means": [], "quats": [], "scales": [], "opacities": [], "colors": []}
-    for index, line in enumerate(body):
-        fields = line.split()
-        if len(fields) != 14:
-            raise SplatFormatError(f"{path}: record {index}: expected 14 fields, got {len(fields)}")
-        try:
-            values = np.array([float(f) for f in fields])
-        except ValueError as exc:
-            raise SplatFormatError(f"{path}: record {index}: {exc}") from None
-        if not np.all(np.isfinite(values)):
-            raise SplatFormatError(f"{path}: record {index}: non-finite value")
-        if np.any(values[7:10] <= 0.0):
-            raise SplatFormatError(f"{path}: record {index}: scale must be positive")
-        if not 0.0 < values[10] <= 1.0:
-            raise SplatFormatError(f"{path}: record {index}: opacity must lie in (0, 1]")
-        if np.any(values[11:14] < 0.0) or np.any(values[11:14] > 1.0):
-            raise SplatFormatError(f"{path}: record {index}: color must lie in [0, 1]")
-        columns["means"].append(values[0:3])
-        columns["quats"].append(quat_normalize(values[3:7]))
-        columns["scales"].append(values[7:10])
-        columns["opacities"].append(float(values[10]))
-        columns["colors"].append(values[11:14])
-    widths = {"means": 3, "quats": 4, "scales": 3, "opacities": None, "colors": 3}
-    arrays = {
-        name: np.array(rows).reshape((count,) if widths[name] is None else (count, widths[name]))
-        for name, rows in columns.items()
-    }
-    return sky, arrays
+    header, body = Path(path).read_bytes().split(b"\n", 1)
+    values = np.frombuffer(body, dtype="<f8")
+    return header, values[:3], values[3:].reshape(-1, 14)
 
 
-def assert_same_bytes(scene: SplatScene, reference) -> None:
-    sky, arrays = reference
-    assert scene.sky_color.tobytes() == sky.tobytes()
-    got = scene.arrays()
-    assert list(got) == list(arrays)
-    for name, values in arrays.items():
-        assert got[name].dtype == values.dtype and got[name].shape == values.shape, name
-        assert got[name].tobytes() == values.tobytes(), name
+def write_v2(path, sky, records) -> None:
+    """A ``gsplat v2`` file of the given sky and records, written without the saver."""
+    records = np.asarray(records, dtype="<f8").reshape(-1, 14)
+    body = np.asarray(sky, dtype="<f8").tobytes() + records.tobytes()
+    Path(path).write_bytes(f"gsplat v2 {len(records)}\n".encode() + body)
 
 
 # ===========================================================================
@@ -249,6 +193,8 @@ class TestSplatScene:
 
 
 class TestSceneFileFormat:
+    GOOD = [0.0, 0.0, 5.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.1, 0.8, 0.5, 0.5, 0.5]
+
     def make_scene(self, n=5, seed=1):
         rng = np.random.default_rng(seed)
         return random_scene(rng, n, sky=np.array([0.2, 0.4, 0.6]))
@@ -262,7 +208,7 @@ class TestSceneFileFormat:
         np.testing.assert_array_equal(back.sky_color, scene.sky_color)
         np.testing.assert_array_equal(back.means, scene.means)
         # the loader re-canonicalizes the quaternion, which may move the
-        # last ulp; everything else survives the text format exactly
+        # last ulp; everything else survives the float64 records exactly
         np.testing.assert_allclose(back.quats, scene.quats, atol=1e-12)
         np.testing.assert_array_equal(back.scales, scene.scales)
         np.testing.assert_array_equal(back.opacities, scene.opacities)
@@ -275,208 +221,151 @@ class TestSceneFileFormat:
         save_splat_scene(p2, scene)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_header_line(self, tmp_path):
-        scene = self.make_scene(n=3)
-        path = tmp_path / "scene.gsplat"
-        save_splat_scene(path, scene)
-        first = path.read_text().splitlines()[0]
-        assert first == "gsplat v1 3"
-
-    def test_missing_sky_line_defaults_to_black(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        record = "0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5"
-        path.write_text(f"gsplat v1 1\n{record}\n")
-        scene = load_splat_scene(path)
-        np.testing.assert_array_equal(scene.sky_color, np.zeros(3))
-
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text("gsplat v2 0\n")
-        with pytest.raises(SplatFormatError, match="header"):
-            load_splat_scene(path)
-
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text("")
-        with pytest.raises(SplatFormatError, match="empty"):
-            load_splat_scene(path)
-
-    def test_count_mismatch_raises(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text("gsplat v1 2\nsky 0 0 0\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n")
-        with pytest.raises(SplatFormatError, match="2"):
-            load_splat_scene(path)
-
-    def test_wrong_field_count_names_record(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text("gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5\n")
-        with pytest.raises(SplatFormatError, match="record 0"):
-            load_splat_scene(path)
-
-    def test_second_bad_record_names_index_1(self, tmp_path):
-        good = "0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5"
-        bad = "0 0 5 1 0 0 0 0.1 0.1 0.1 2.0 0.5 0.5 0.5"  # opacity 2.0
-        path = tmp_path / "scene.gsplat"
-        path.write_text(f"gsplat v1 2\n{good}\n{bad}\n")
-        with pytest.raises(SplatFormatError, match="record 1"):
-            load_splat_scene(path)
-
-    def test_non_finite_value_raises(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text("gsplat v1 1\nnan 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n")
-        with pytest.raises(SplatFormatError):
-            load_splat_scene(path)
-
-    def test_bad_sky_color_raises(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text("gsplat v1 0\nsky 0 0 1.5\n")
-        with pytest.raises(SplatFormatError, match="sky"):
-            load_splat_scene(path)
-
-
-    # -- the vectorized loader against the record-by-record reference -------
-
-    def test_records_reach_loadtxt_as_the_open_file(self, tmp_path, monkeypatch):
-        """One loadtxt call reads the records from the file, not from a list of lines."""
-        scene, _ = generate_synthetic_scene(4, SyntheticSceneConfig(n_gaussians=300))
-        path = tmp_path / "scene.gsplat"
-        save_splat_scene(path, scene)
-        inputs = []
-        loadtxt = np.loadtxt
-
-        def spy(source, *args, **kwargs):
-            inputs.append(source)
-            return loadtxt(source, *args, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", spy)
-        assert_same_bytes(load_splat_scene(path), reference_load(path))
-        assert len(inputs) == 1 and hasattr(inputs[0], "read")
-
-    def test_generated_scene_loads_like_reference(self, tmp_path):
-        scene, _ = generate_synthetic_scene(4, SyntheticSceneConfig(n_gaussians=300))
-        path = tmp_path / "scene.gsplat"
-        save_splat_scene(path, scene)
-        assert_same_bytes(load_splat_scene(path), reference_load(path))
-
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_hand_written_file_loads_like_reference(self, tmp_path, newline):
-        lines = [
-            "",
-            "  gsplat   v1\t3 ",
-            "\t",
-            "sky 0.25  0.5 0.75",
-            "0 0 5   2 0 0 0   0.1 0.1 0.1   0.8   0.5 0.5 0.5",
-            "",
-            "\t1.5 -2e-1 4.25 -0.3 0.4 -0.5 0.6 0.2 0.3 0.4 1 0 1 0.25   ",
-            "-1 1 7 -1e-3 2.5e2 -3 0.125 1e-2 .5 5. 0.5 1.0 0.0 1",
-            "",
-            "",
-        ]
-        path = tmp_path / "scene.gsplat"
-        path.write_bytes(newline.join(lines).encode())
-        scene = load_splat_scene(path)
-        assert_same_bytes(scene, reference_load(path))
-        assert np.all(scene.quats[:, 0] >= 0.0)
-        np.testing.assert_allclose(np.linalg.norm(scene.quats, axis=1), 1.0, atol=1e-15)
-
-    def test_file_outside_the_plain_layout_loads_like_reference(self, tmp_path):
-        """Non-ASCII separators and Python-only number spellings take the
-        line-by-line path and still load."""
-        path = tmp_path / "scene.gsplat"
-        path.write_text(
-            "gsplat v1 2\n"
-            "0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n"
-            "1_0\u00a00 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n",
-            encoding="utf-8",
+    def test_golden_bytes_of_one_gaussian(self, tmp_path):
+        """Header line, then sky and the record as little-endian float64, in field order."""
+        scene = SplatScene(
+            means=[[1.0, -2.0, 3.5]], quats=[[1.0, 0.0, 0.0, 0.0]], scales=[[0.25, 0.5, 2.0]],
+            opacities=[0.75], colors=[[0.0, 0.5, 1.0]], sky_color=[0.125, 0.25, 1.0],
         )
-        scene = load_splat_scene(path)
-        assert_same_bytes(scene, reference_load(path))
-        assert scene.means[1, 0] == 10.0
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, scene)
+        values = (0.125, 0.25, 1.0, 1.0, -2.0, 3.5, 1.0, 0.0, 0.0, 0.0, 0.25, 0.5, 2.0, 0.75,
+                  0.0, 0.5, 1.0)
+        golden = b"gsplat v2 1\n" + struct.pack("<17d", *values)
+        assert path.read_bytes() == golden
+        assert golden[12:20] == bytes.fromhex("000000000000c03f")  # 0.125
+        back = load_splat_scene(path)
+        assert [a.tolist() for a in back.arrays().values()] == [
+            a.tolist() for a in scene.arrays().values()
+        ]
+        assert back.sky_color.tolist() == [0.125, 0.25, 1.0]
 
-    def test_save_load_save_is_byte_identical(self, tmp_path):
+    def test_empty_scene_is_header_and_sky(self, tmp_path):
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, SplatScene(sky_color=(0.1, 0.2, 0.3)))
+        assert path.read_bytes() == b"gsplat v2 0\n" + struct.pack("<3d", 0.1, 0.2, 0.3)
+        back = load_splat_scene(path)
+        assert len(back) == 0
+        assert back.sky_color.tolist() == [0.1, 0.2, 0.3]
+
+    def test_generated_scene_loads_bit_for_bit(self, tmp_path):
+        """The loaded arrays are the saved records; quaternions go through
+        ``quat_normalize`` one row at a time, as ``SplatScene`` promises."""
+        scene, _ = generate_synthetic_scene(4, SyntheticSceneConfig(n_gaussians=300))
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, scene)
+        header, sky, records = read_v2(path)
+        assert header == b"gsplat v2 300"
+        back = load_splat_scene(path)
+        assert back.sky_color.tobytes() == sky.tobytes()
+        expected = {
+            "means": records[:, 0:3],
+            "quats": np.array([quat_normalize(q) for q in records[:, 3:7]]),
+            "scales": records[:, 7:10],
+            "opacities": records[:, 10],
+            "colors": records[:, 11:14],
+        }
+        for name, values in back.arrays().items():
+            assert values.dtype == np.float64 and values.shape == expected[name].shape, name
+            assert values.tobytes() == np.ascontiguousarray(expected[name]).tobytes(), name
+
+    def test_save_load_save_keeps_all_but_quaternion_bytes(self, tmp_path):
         """Every value but the quaternion survives save -> load -> save byte for
         byte.  The loader re-normalizes each quaternion, which can move its
-        last bit, so those fields must match the reference loader's values."""
+        last bit, so those columns must equal ``quat_normalize`` of each row."""
         scene, _ = generate_synthetic_scene(5, SyntheticSceneConfig(n_gaussians=200))
         first, second = tmp_path / "a.gsplat", tmp_path / "b.gsplat"
         save_splat_scene(first, scene)
         save_splat_scene(second, load_splat_scene(first))
-        first_lines = first.read_text().splitlines()
-        second_lines = second.read_text().splitlines()
-        assert second_lines[:2] == first_lines[:2]
-        reference_quats = reference_load(first)[1]["quats"]
-        for a, b, quat in zip(first_lines[2:], second_lines[2:], reference_quats, strict=True):
-            a, b = a.split(), b.split()
-            assert b[:3] + b[7:] == a[:3] + a[7:]
-            assert b[3:7] == [repr(float(v)) for v in quat]
+        header_a, sky_a, records_a = read_v2(first)
+        header_b, sky_b, records_b = read_v2(second)
+        assert header_b == header_a and sky_b.tobytes() == sky_a.tobytes()
+        others = [0, 1, 2, *range(7, 14)]
+        assert records_b[:, others].tobytes() == records_a[:, others].tobytes()
+        reference_quats = np.array([quat_normalize(q) for q in records_a[:, 3:7]])
+        assert records_b[:, 3:7].tobytes() == reference_quats.tobytes()
 
-    def test_non_numeric_token_names_record_1(self, tmp_path):
-        good = "0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5"
-        bad = "0 0 5 1 0 0 0 0.1 abc 0.1 0.8 0.5 0.5 0.5"
+    @pytest.mark.parametrize("change", [-1, -8, -8 * 14, 1, 8, 8 * 14])
+    def test_truncated_or_trailing_bytes(self, tmp_path, change):
         path = tmp_path / "scene.gsplat"
-        path.write_text(f"gsplat v1 3\n{good}\n{bad}\n{good}\n")
-        with pytest.raises(SplatFormatError, match="record 1") as got:
+        write_v2(path, [0.0, 0.0, 0.0], [self.GOOD, self.GOOD])
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        found = 8 * (3 + 14 * 2) + change
+        with pytest.raises(SplatFormatError) as got:
             load_splat_scene(path)
-        assert str(got.value) == f"{path}: record 1: could not convert string to float: 'abc'"
+        assert str(got.value) == (
+            f"{path}: header promises 2 records (248 bytes after the header), found {found} bytes"
+        )
 
-    GOOD = "0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5"
+    @pytest.mark.parametrize("count", [b"-1", b"x", b"1.0", b"1e3", b"+1", b""])
+    def test_bad_count(self, tmp_path, count):
+        path = tmp_path / "scene.gsplat"
+        path.write_bytes(b"gsplat v2 " + count + b"\n" + struct.pack("<17d", 0, 0, 0, *self.GOOD))
+        with pytest.raises(SplatFormatError) as got:
+            load_splat_scene(path)
+        assert str(got.value) == f"{path}: bad header count {count.decode()!r}"
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"", b"gsplat v2 0", b"gsplat v3 0\n", b"GSPLAT v2 0\n", b"gsplat  v2 0\n",
+         b"gsplat v2 0 0\n", b"gsplat\n", b"\x00" * 100],
+        ids=["empty", "no-newline", "v3", "upper-case", "two-spaces", "extra-field", "magic-only",
+             "nul-bytes"],
+    )
+    def test_bad_header(self, tmp_path, head):
+        path = tmp_path / "scene.gsplat"
+        path.write_bytes(head + (struct.pack("<3d", 0, 0, 0) if head.endswith(b"\n") else b""))
+        with pytest.raises(SplatFormatError, match=f"^{re.escape(str(path))}: bad header b"):
+            load_splat_scene(path)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, np.nan, "non-finite value"),
+            (5, np.inf, "non-finite value"),
+            (3, 0.0, "quaternion has near-zero norm"),
+            (8, 0.0, "scale must be positive"),
+            (10, 1.5, "opacity must lie in (0, 1]"),
+            (10, 0.0, "opacity must lie in (0, 1]"),
+            (12, -0.5, "color must lie in [0, 1]"),
+        ],
+    )
+    def test_first_bad_record_is_named(self, tmp_path, column, value, message):
+        records = np.array([self.GOOD] * 4)
+        records[1, column] = value
+        records[3, 10] = 2.0  # a later bad record is not the one reported
+        path = tmp_path / "scene.gsplat"
+        write_v2(path, [0.0, 0.0, 0.0], records)
+        with pytest.raises(SplatFormatError) as got:
+            load_splat_scene(path)
+        assert str(got.value) == f"{path}: record 1: {message}"
+
+    @pytest.mark.parametrize("sky", [[0.0, 0.0, 1.5], [-0.1, 0.0, 0.0], [0.0, np.nan, 0.0]])
+    def test_out_of_range_sky(self, tmp_path, sky):
+        path = tmp_path / "scene.gsplat"
+        write_v2(path, sky, [self.GOOD])
+        with pytest.raises(SplatFormatError) as got:
+            load_splat_scene(path)
+        assert str(got.value) == f"{path}: sky color must lie in [0, 1]"
 
     @pytest.mark.parametrize(
         "text",
         [
-            "",
-            "\n \n",
-            "gsplat v2 0\n",
-            "gsplat v1\n",
-            "gsplat v1 x\n",
-            "gsplat v1 -1\n",
-            "gsplat v1 1 2\n" + GOOD + "\n",
-            "gsplat v1 0\nsky 0 0\n",
-            "gsplat v1 0\nsky 0 0 zero\n",
-            "gsplat v1 0\nsky 0 0 nan\n",
-            "gsplat v1 1\nsky 0 0 1.5\n0 0 5\n",
-            "gsplat v1 2\n" + GOOD + "\n",
-            "gsplat v1 0\n" + GOOD + "\n",
-            "gsplat v1 1\n" + GOOD + " 0.5\n",
-            "gsplat v1 1\nsky\n",
-            "gsplat v1 2\n" + GOOD + "\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5\n",
-            "gsplat v1 2\n" + GOOD + "\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 1e\n",
-            "gsplat v1 2\n" + GOOD + "\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 1-2\n",
-            "gsplat v1 2\n" + GOOD + "\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0x1\n",
-            "gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 inf\n",
-            "gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.1 nan 0.8 0.5 0.5 0.5\n",
-            "gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.0 0.1 0.8 0.5 0.5 0.5\n",
-            "gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.0 0.5 0.5 0.5\n",
-            "gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 -0.5 0.5\n",
-            # a broken rule in record 0 is reported before a bad token in record 1
-            "gsplat v1 2\n0 0 5 1 0 0 0 0.1 0.1 0.1 1.5 0.5 0.5 0.5\n"
-            "0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 abc\n",
-            # a bad token in record 0 is reported before a broken rule in record 1
-            "gsplat v1 2\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 abc\n"
-            "0 0 5 1 0 0 0 0.1 0.1 0.1 1.5 0.5 0.5 0.5\n",
-            # field counts that only add up to 14 per record overall
-            "gsplat v1 2\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5\n" + GOOD + " 0.5\n",
-            "gsplat v1 2\n" + GOOD + " " + GOOD + "\n",
-            # a short record 1 is reported before a broken rule in record 2
-            "gsplat v1 3\n" + GOOD + "\n0 0 5\n0 0 5 1 0 0 0 0.1 0.1 0.1 1.5 0.5 0.5 0.5\n",
-            # "#" starts no comment: a trailing note is a 15th field
-            "gsplat v1 2\n" + GOOD + "\n" + GOOD + " #note\n",
+            "gsplat v1 1\nsky 0 0 0\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n",
+            "\n  gsplat\tv1 0\n",
         ],
+        ids=["with-sky", "blank-first-line"],
     )
-    def test_errors_match_reference(self, tmp_path, text):
+    def test_v1_text_file_is_refused(self, tmp_path, text):
         path = tmp_path / "scene.gsplat"
         path.write_text(text)
-        with pytest.raises(SplatFormatError) as expected:
-            reference_load(path)
         with pytest.raises(SplatFormatError) as got:
             load_splat_scene(path)
-        assert str(got.value) == str(expected.value)
-
-    def test_zero_quaternion_is_a_format_error(self, tmp_path):
-        path = tmp_path / "scene.gsplat"
-        path.write_text(f"gsplat v1 2\n{self.GOOD}\n0 0 5 0 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n")
-        with pytest.raises(SplatFormatError, match="record 1: quaternion has near-zero norm"):
-            load_splat_scene(path)
+        assert str(got.value) == (
+            f"{path}: a gsplat v1 text scene; convert it to gsplat v2 as README.md "
+            "(File formats) shows"
+        )
 
 
 # ===========================================================================
