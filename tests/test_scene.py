@@ -25,7 +25,7 @@ from conftest import random_unit_quaternion
 def random_scene(rng: np.random.Generator, n: int, sky=(0.0, 0.0, 0.0)) -> SplatScene:
     return SplatScene(
         means=rng.normal(size=(n, 3)),
-        quats=np.array([random_unit_quaternion(rng) for _ in range(n)]),
+        quats=np.array([random_unit_quaternion(rng) for _ in range(n)]).reshape(n, 4),
         scales=rng.uniform(0.05, 0.5, size=(n, 3)),
         opacities=rng.uniform(0.2, 1.0, size=n),
         colors=rng.uniform(0.0, 1.0, size=(n, 3)),
@@ -285,6 +285,85 @@ class TestSceneFileFormat:
         reference_quats = np.array([quat_normalize(q) for q in records_a[:, 3:7]])
         assert records_b[:, 3:7].tobytes() == reference_quats.tobytes()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 1000])
+    def test_roundtrip_at_every_size(self, tmp_path, n):
+        """The body reshapes to exactly n records, for empty, one and many."""
+        scene = self.make_scene(n=n, seed=n)
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, scene)
+        assert path.stat().st_size == len(f"gsplat v2 {n}\n") + 8 * (3 + 14 * n)
+        back = load_splat_scene(path)
+        assert len(back) == n
+        for name in ["means", "scales", "opacities", "colors"]:
+            assert getattr(back, name).tobytes() == getattr(scene, name).tobytes(), name
+        np.testing.assert_allclose(back.quats, scene.quats, atol=1e-12)
+
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+    def test_save_and_load_take_str_or_path(self, tmp_path, as_path):
+        scene = self.make_scene(n=3)
+        path = as_path(tmp_path / "scene.gsplat")
+        save_splat_scene(path, scene)
+        assert load_splat_scene(path).means.tobytes() == scene.means.tobytes()
+
+    @pytest.mark.parametrize("name", ["means", "quats", "scales", "opacities", "colors"])
+    def test_record_columns_map_to_arrays(self, tmp_path, name):
+        """Each array takes its own columns of the record, in v1's field order."""
+        columns = {"means": [0, 1, 2], "quats": [3, 4, 5, 6], "scales": [7, 8, 9],
+                   "opacities": [10], "colors": [11, 12, 13]}[name]
+        record = [0.5, 1.5, 2.5, 0.5, 0.5, 0.5, 0.5, 0.125, 0.25, 0.375, 0.625, 0.25, 0.5, 0.75]
+        path = tmp_path / "scene.gsplat"
+        write_v2(path, [0.0, 0.0, 0.0], [record])
+        loaded = getattr(load_splat_scene(path), name)
+        assert loaded.reshape(-1).tolist() == [record[c] for c in columns]
+
+    def test_extreme_means_survive_bit_for_bit(self, tmp_path):
+        """-0.0, a subnormal and the largest double keep their exact bits."""
+        means = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [1e-300, -2.5e-310, -1e308]])
+        scene = SplatScene(
+            means=means, quats=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), scales=np.ones((2, 3)),
+            opacities=[0.5, 1.0], colors=np.zeros((2, 3)),
+        )
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, scene)
+        back = load_splat_scene(path)
+        assert back.means.tobytes() == means.tobytes()
+        assert np.signbit(back.means[0, 0])
+
+    def test_loaded_scene_does_not_depend_on_the_file(self, tmp_path):
+        """The loaded arrays are read-only copies: rewriting or removing the
+        file afterwards leaves the scene as it was loaded."""
+        scene = self.make_scene(n=50)
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, scene)
+        back = load_splat_scene(path)
+        expected = {name: values.copy() for name, values in back.arrays().items()}
+        save_splat_scene(path, SplatScene())
+        path.unlink()
+        for name, values in back.arrays().items():
+            assert not values.flags.writeable, name
+            assert not isinstance(values, np.memmap) and values.base is None, name
+            assert values.tobytes() == expected[name].tobytes(), name
+
+    def test_save_over_a_larger_file_truncates_it(self, tmp_path):
+        path = tmp_path / "scene.gsplat"
+        save_splat_scene(path, self.make_scene(n=100))
+        small = self.make_scene(n=2, seed=3)
+        save_splat_scene(path, small)
+        assert path.stat().st_size == len(b"gsplat v2 2\n") + 8 * (3 + 14 * 2)
+        assert load_splat_scene(path).colors.tobytes() == small.colors.tobytes()
+
+    def test_huge_count_is_a_size_error_not_an_allocation(self, tmp_path):
+        """A count far beyond the file's bytes is refused from the file size alone."""
+        path = tmp_path / "scene.gsplat"
+        path.write_bytes(b"gsplat v2 99999999999999\n" + struct.pack("<17d", 0, 0, 0, *self.GOOD))
+        with pytest.raises(SplatFormatError) as got:
+            load_splat_scene(path)
+        size = 8 * (3 + 14 * 99999999999999)
+        assert str(got.value) == (
+            f"{path}: header promises 99999999999999 records ({size} bytes after the header), "
+            "found 136 bytes"
+        )
+
     @pytest.mark.parametrize("change", [-1, -8, -8 * 14, 1, 8, 8 * 14])
     def test_truncated_or_trailing_bytes(self, tmp_path, change):
         path = tmp_path / "scene.gsplat"
@@ -298,7 +377,9 @@ class TestSceneFileFormat:
             f"{path}: header promises 2 records (248 bytes after the header), found {found} bytes"
         )
 
-    @pytest.mark.parametrize("count", [b"-1", b"x", b"1.0", b"1e3", b"+1", b""])
+    @pytest.mark.parametrize(
+        "count", [b"-1", b"x", b"1.0", b"1e3", b"+1", b"", b"0x1", "١".encode()]
+    )
     def test_bad_count(self, tmp_path, count):
         path = tmp_path / "scene.gsplat"
         path.write_bytes(b"gsplat v2 " + count + b"\n" + struct.pack("<17d", 0, 0, 0, *self.GOOD))
@@ -354,8 +435,10 @@ class TestSceneFileFormat:
         [
             "gsplat v1 1\nsky 0 0 0\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n",
             "\n  gsplat\tv1 0\n",
+            "gsplat v1 0\r\nsky 0.1 0.2 0.3\r\n",
+            "gsplat v1 1\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n",
         ],
-        ids=["with-sky", "blank-first-line"],
+        ids=["with-sky", "blank-first-line", "crlf", "no-sky-line"],
     )
     def test_v1_text_file_is_refused(self, tmp_path, text):
         path = tmp_path / "scene.gsplat"
