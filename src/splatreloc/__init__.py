@@ -72,13 +72,9 @@ from .relocalize import (
 )
 from .renderer import (
     RenderOutput,
-    load_depth_f32,
     load_ppm,
-    load_ppm_levels,
     render,
-    save_depth,
     save_ppm,
-    save_ppm_levels,
     to_levels,
 )
 from .scene import (

@@ -11,6 +11,21 @@ as float64.  Save and load move those arrays to and from disk unchanged, so
 a reloaded map equals the built one bit for bit.  Code that needs float
 images divides the levels by 255.0 (``relocalize.ReferenceView.of_anchor``).
 
+Map file layout (``anchordb v2``): one ASCII header line, then
+little-endian values and nothing else:
+
+    anchordb v2 <count> <width> <height>\\n
+    <fx> <fy> <cx> <cy> <near> <spacing>             6 x <f8
+then ``count`` records of
+    <source_index>                                   1 x <i8
+    <qw> <qx> <qy> <qz> <tx> <ty> <tz>               7 x <f8
+    <descriptor>                                   192 x <f8
+    <rgb levels>, row-major             height*width*3 x u1
+    <depth>, row-major                    height*width x <f4
+
+so exactly ``48 + count * (1600 + 7 * width * height)`` bytes follow the
+header.  An anchor's id is its position in the file.
+
 The 192-dim global descriptor concatenates an 8x8 block-mean grayscale
 thumbnail (64 values) with a 128-bin gradient-orientation histogram, each
 half L2-normalized before the joint normalization, so it is invariant to
@@ -24,12 +39,11 @@ worker count.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +51,7 @@ import numpy as np
 from .errors import TrajectoryTooShort
 from .geometry import CameraIntrinsics, Pose, Trajectory
 from . import spans
-from .renderer import (
-    load_depth_f32, load_ppm_levels, render, save_depth, save_ppm_levels, to_levels,
-)
+from .renderer import render, to_levels
 from .scene import SplatScene
 from .features import to_grayscale
 
@@ -99,6 +111,8 @@ class AnchorRecord:
         if not (_is_array(descriptor) and descriptor.shape == (GLOBAL_DESCRIPTOR_DIM,)):
             want = f"({GLOBAL_DESCRIPTOR_DIM},)"
             raise ValueError(f"descriptor must be a {want} array, got {_describe(descriptor)}")
+        if not np.isfinite(descriptor).all():
+            raise ValueError("descriptor must be finite")
 
 
 def _is_array(value: object, dtype: type | None = None) -> bool:
@@ -242,116 +256,91 @@ def retrieve(query_image: np.ndarray, db: AnchorDatabase) -> int:
     return int(np.argmax(sims))
 
 
+_MAGIC = b"anchordb v2"
+#: Bytes of the camera block: fx, fy, cx, cy, near and spacing as ``<f8``.
+_CAMERA_BYTES = 6 * 8
+#: Bytes of a record before its images: source index, pose and descriptor.
+_RECORD_HEAD_BYTES = 8 * (1 + 7 + GLOBAL_DESCRIPTOR_DIM)
+
+
 def save_anchor_db(path: str | Path, db: AnchorDatabase) -> None:
-    """Persist to a directory: index.json plus per-anchor PPM and depth files."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = []
+    """Write the map as one ``anchordb v2`` file (module docstring)."""
+    cam = db.camera
     for rec in db.records:
-        rgb_name = f"anchor_{rec.anchor_id:03d}.ppm"
-        depth_name = f"anchor_{rec.anchor_id:03d}.depth"
-        save_ppm_levels(root / rgb_name, rec.rgb)
-        save_depth(root / depth_name, rec.depth)
-        entries.append(
-            {
-                "id": rec.anchor_id,
-                "source_index": rec.source_index,
-                "pose": [float(v) for v in rec.pose.as_array()],
-                "rgb": rgb_name,
-                "depth": depth_name,
-                "descriptor": [float(v) for v in rec.descriptor],
-            }
-        )
-    index = {
-        "format": "anchordb v1",
-        "spacing": db.spacing,
-        "camera": asdict(db.camera),
-        "anchors": entries,
-    }
-    (root / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
-
-
-def _is_int(value: object) -> bool:
-    return type(value) is int  # a JSON true or false is a bool, not an int
-
-
-def _is_number(value: object) -> bool:
-    return type(value) is int or (type(value) is float and math.isfinite(value))
-
-
-def _numbers(length: int) -> tuple:
-    """The kind of a list of ``length`` finite numbers."""
-
-    def test(value: object) -> bool:
-        return isinstance(value, list) and len(value) == length and all(map(_is_number, value))
-
-    return f"a list of {length} finite numbers", test
-
-
-#: What a JSON value must be, as (description, test).
-_INT = ("an integer", _is_int)
-_NUMBER = ("a finite number", _is_number)
-_FILE_NAME = ("a file name", lambda value: isinstance(value, str) and value != "")
-_LIST = ("a list", lambda value: isinstance(value, list))
-
-#: Keys of ``index.json``, of its camera and of each of its anchor entries,
-#: with what each value must be.  The format tag and the camera object are
-#: checked on their own.
-_INDEX_KEYS = {"format": None, "spacing": _NUMBER, "camera": None, "anchors": _LIST}
-_CAMERA_KEYS = {f.name: _INT if f.type == "int" else _NUMBER for f in fields(CameraIntrinsics)}
-_ANCHOR_KEYS = {
-    "id": _INT, "source_index": _INT, "pose": _numbers(7),
-    "rgb": _FILE_NAME, "depth": _FILE_NAME, "descriptor": _numbers(GLOBAL_DESCRIPTOR_DIM),
-}
-
-
-def _check_object(root: Path, where: str, value: object, keys: dict) -> None:
-    """Raise a ``ValueError`` naming ``root`` unless ``value`` is a JSON object
-    whose keys are exactly those of ``keys`` and whose values are what
-    ``keys`` says."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{root}: {where} must be a JSON object")
-    missing = [key for key in keys if key not in value]
-    if missing:
-        raise ValueError(f'{root}: {where} is missing "{missing[0]}"')
-    unknown = sorted(set(value) - set(keys))
-    if unknown:
-        raise ValueError(f'{root}: {where} has unknown key "{unknown[0]}"')
-    for key, kind in keys.items():
-        if kind is not None and not kind[1](value[key]):
-            got = json.dumps(value[key])
-            got = got if len(got) <= 80 else got[:77] + "..."
-            raise ValueError(f'{root}: {where} "{key}" must be {kind[0]}, got {got}')
+        if rec.rgb.shape[:2] != (cam.height, cam.width):
+            raise ValueError(
+                f"anchor {rec.anchor_id} is {rec.rgb.shape[1]}x{rec.rgb.shape[0]}, "
+                f"the camera {cam.width}x{cam.height}"
+            )
+    with open(path, "wb") as f:
+        f.write(_MAGIC + f" {len(db)} {cam.width} {cam.height}\n".encode())
+        f.write(np.array([cam.fx, cam.fy, cam.cx, cam.cy, cam.near, db.spacing], "<f8").tobytes())
+        for rec in db.records:
+            f.write(np.array(rec.source_index, "<i8").tobytes())
+            f.write(np.concatenate([rec.pose.as_array(), rec.descriptor]).astype("<f8").tobytes())
+            f.write(rec.rgb.tobytes())
+            f.write(rec.depth.astype("<f4").tobytes())
 
 
 def load_anchor_db(path: str | Path) -> AnchorDatabase:
-    """Reload a directory written by ``save_anchor_db``.
+    """Read an ``anchordb v2`` file written by ``save_anchor_db``.
 
-    A malformed ``index.json`` (a missing or unknown key, a camera whose
-    keys are not exactly the ``CameraIntrinsics`` fields, or a value of the
-    wrong JSON type, such as ``"fx": "250"``) raises ``ValueError`` naming
-    the directory and the key.
+    The header must be ``anchordb v2 <count> <width> <height>`` and the rest
+    exactly the camera block and ``count`` records.  The camera, the spacing
+    (positive and finite), each pose and each descriptor (finite) are
+    checked; a ``ValueError`` names the file and, for a record, its index.
+    Anchor ids are record positions.  The arrays are read into memory, so
+    the map does not depend on the file after the load.  An ``anchordb v1``
+    directory is refused: maps are derived data, so rebuild it.
     """
-    root = Path(path)
-    index = json.loads((root / "index.json").read_text())
-    fmt = index.get("format") if isinstance(index, dict) else None
-    if fmt != "anchordb v1":
-        raise ValueError(f"{root}: not an anchor database (format {fmt!r})")
-    _check_object(root, "index.json", index, _INDEX_KEYS)
-    _check_object(root, "camera", index["camera"], _CAMERA_KEYS)
-    cam = CameraIntrinsics(**index["camera"])
-    records = []
-    for i, entry in enumerate(index["anchors"]):
-        _check_object(root, f"anchor {i}", entry, _ANCHOR_KEYS)
-        records.append(
-            AnchorRecord(
-                anchor_id=entry["id"],
-                source_index=entry["source_index"],
-                pose=Pose.from_array(np.array(entry["pose"])),
-                rgb=load_ppm_levels(root / entry["rgb"]),
-                depth=load_depth_f32(root / entry["depth"]),
-                descriptor=np.array(entry["descriptor"]),
-            )
+    if Path(path).is_dir():
+        raise ValueError(
+            f"{path}: a directory, as anchordb v1 maps were; "
+            "rebuild it with `splatreloc build-anchors`"
         )
-    records.sort(key=lambda r: r.anchor_id)
-    return AnchorDatabase(camera=cam, spacing=index["spacing"], records=records)
+    with open(path, "rb") as f:
+        head, newline, _ = f.read(128).partition(b"\n")
+        words = head.split(b" ")
+        if not newline or b" ".join(words[:2]) != _MAGIC:
+            raise ValueError(f"{path}: not an anchordb v2 file (header {head[:40]!r})")
+        if len(words) != 5 or not all(word.isdigit() for word in words[2:]):
+            raise ValueError(
+                f"{path}: bad header {head!r}, expected b'anchordb v2 <count> <width> <height>'"
+            )
+        count, width, height = map(int, words[2:])
+        size = _CAMERA_BYTES + count * (_RECORD_HEAD_BYTES + 7 * width * height)
+        found = os.fstat(f.fileno()).st_size - len(head) - 1
+        if found != size:
+            raise ValueError(
+                f"{path}: header promises {count} anchors of {width}x{height} "
+                f"({size} bytes after the header), found {found} bytes"
+            )
+        f.seek(len(head) + 1)
+        fx, fy, cx, cy, near, spacing = np.fromfile(f, "<f8", 6).tolist()
+        try:
+            cam = CameraIntrinsics(fx, fy, cx, cy, width, height, near)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise ValueError(f"{path}: anchor spacing must be positive and finite, got {spacing}")
+        records = []
+        for i in range(count):
+            source_index = int(np.fromfile(f, "<i8", 1)[0])
+            pose = np.fromfile(f, "<f8", 7)
+            descriptor = np.fromfile(f, "<f8", GLOBAL_DESCRIPTOR_DIM)
+            rgb = np.fromfile(f, np.uint8, height * width * 3).reshape(height, width, 3)
+            depth = np.fromfile(f, "<f4", height * width).reshape(height, width)
+            try:
+                records.append(
+                    AnchorRecord(
+                        anchor_id=i,
+                        source_index=source_index,
+                        pose=Pose.from_array(pose),
+                        rgb=rgb,
+                        depth=depth.astype(np.float32, copy=False),
+                        descriptor=descriptor,
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: anchor {i}: {exc}") from None
+    return AnchorDatabase(camera=cam, spacing=spacing, records=records)

@@ -160,6 +160,29 @@ _RECALL_TRANS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50)
 _RECALL_ROT = (0.5, 1.0, 2.0, 5.0)
 
 
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is a bool, not a number
+
+
+#: Values of a result file that ``evaluate`` reads, as (description, test).
+_RESULT_VALUES = {
+    "query_id": ("a string or an integer", lambda v: type(v) in (str, int)),
+    "status": ("a string", lambda v: isinstance(v, str)),
+    "final_pose": (
+        "a list of 7 numbers",
+        lambda v: isinstance(v, list) and len(v) == 7 and all(map(_is_number, v)),
+    ),
+    "iterations": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+}
+
+
+def _read_json(path: Path) -> object:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name}: invalid JSON ({exc})") from None
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
     gt_trajectory = load_trajectory(args.gt)
@@ -178,13 +201,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     stage_ms = dict.fromkeys(_SPAN_STAGE.values(), 0.0)
     timed_iterations = 0  # iterations of the results that have a sidecar
     for path in result_files:
-        payload = json.loads(path.read_text())
+        payload = _read_json(path)
         if not isinstance(payload, dict):
             raise ValueError(f"{path.name}: expected a JSON object")
         for key in ("status", "final_pose", "iterations"):
             if key not in payload:
                 raise ValueError(f'{path.name}: missing "{key}"')
-        query_id = payload.get("query_id", path.stem)
+        values = {"query_id": path.stem, **payload}
+        for key, (kind, ok) in _RESULT_VALUES.items():
+            if not ok(values[key]):
+                got = json.dumps(values[key])
+                raise ValueError(f'{path.name}: "{key}" must be {kind}, got {got}')
+        query_id = values["query_id"]
         try:
             index = int(query_id)
             gt_pose = gt_trajectory.pose_for(index)
@@ -195,17 +223,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 f"{frame_files[index]} and {path.name} are both results for frame {index}"
             )
         frame_files[index] = path.name
-        est_pose = Pose.from_array(np.array(payload["final_pose"]))
+        try:
+            est_pose = Pose.from_array(payload["final_pose"])
+        except ValueError as exc:
+            raise ValueError(f'{path.name}: "final_pose": {exc}') from None
         entries.append((index, est_pose, gt_pose))
         statuses[payload["status"]] = statuses.get(payload["status"], 0) + 1
 
         timing_path = path.with_name(path.stem + ".timing.json")
         if timing_path.exists():
-            sidecar = json.loads(timing_path.read_text())
+            sidecar = _read_json(timing_path)
             if not isinstance(sidecar, dict) or not set(stage_ms) <= set(sidecar):
                 raise ValueError(f"{timing_path.name}: expected per-stage totals {sorted(stage_ms)}")
             for stage in stage_ms:
-                stage_ms[stage] += float(sidecar[stage])
+                if not _is_number(sidecar[stage]):
+                    raise ValueError(
+                        f'{timing_path.name}: "{stage}" must be a number, '
+                        f"got {json.dumps(sidecar[stage])}"
+                    )
+                stage_ms[stage] += sidecar[stage]
             timed_iterations += payload["iterations"]
 
     est_traj, gt_traj = make_pose_trajectories(entries)
@@ -317,13 +353,15 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p_build = command("build-anchors", _cmd_build_anchors, "render an anchor database")
     p_build.add_argument("--scene", required=True)
     p_build.add_argument("--trajectory", required=True)
-    p_build.add_argument("--out", required=True, help="output anchor directory")
+    p_build.add_argument(
+        "--out", required=True, help="output anchor map file (such as anchors.map, anchordb v2)"
+    )
     p_build.add_argument("--spacing", type=float, default=SyntheticSceneConfig.anchor_spacing)
     _add_field_flags(p_build, DEFAULT_CAMERA)
 
     p_reloc = command("relocalize", _cmd_relocalize, "relocalize a directory of query images")
     p_reloc.add_argument("--scene", required=True)
-    p_reloc.add_argument("--anchors", required=True, help="anchor database directory")
+    p_reloc.add_argument("--anchors", required=True, help="anchor map file (anchordb v2)")
     p_reloc.add_argument("--queries", required=True, help="directory of query .ppm images")
     p_reloc.add_argument("--out", required=True, help="output results directory")
     p_reloc.add_argument(

@@ -31,7 +31,6 @@ times (r, g, b, 1, z) in one operation.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,24 +205,17 @@ def to_levels(image: np.ndarray) -> np.ndarray:
     return np.clip(np.round(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
 
 
-def save_ppm_levels(path: str | Path, levels: np.ndarray) -> None:
-    """Write (H, W, 3) uint8 levels as a binary P6 PPM."""
-    levels = np.asarray(levels)
+def save_ppm(path: str | Path, image: np.ndarray) -> None:
+    """Write an RGB float image in [0, 1] as a binary P6 PPM (8-bit levels)."""
+    levels = to_levels(image)
     if levels.ndim != 3 or levels.shape[2] != 3:
         raise ValueError("expected an (H, W, 3) image")
-    if levels.dtype != np.uint8:
-        raise ValueError(f"expected uint8 levels, got {levels.dtype}")
     header = f"P6\n{levels.shape[1]} {levels.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + levels.tobytes())
 
 
-def save_ppm(path: str | Path, image: np.ndarray) -> None:
-    """Write an RGB float image in [0, 1] as a binary P6 PPM (8-bit)."""
-    save_ppm_levels(path, to_levels(image))
-
-
-def load_ppm_levels(path: str | Path) -> np.ndarray:
-    """Read a binary P6 PPM into (H, W, 3) uint8 levels."""
+def load_ppm(path: str | Path) -> np.ndarray:
+    """Read a binary P6 PPM into an (H, W, 3) float image in [0, 1] (levels / 255.0)."""
     raw = Path(path).read_bytes()
     tokens: list[bytes] = []
     pos = 0
@@ -255,33 +247,4 @@ def load_ppm_levels(path: str | Path) -> np.ndarray:
     data = raw[pos : pos + expected]
     if len(data) != expected:
         raise ImageFormatError(f"{path}: truncated pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
-
-
-def load_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary P6 PPM into an (H, W, 3) float image in [0, 1]."""
-    return load_ppm_levels(path) / 255.0
-
-
-def save_depth(path: str | Path, depth: np.ndarray) -> None:
-    """Write a depth image as '<w><h><1>' int32 header + float32 data, LE."""
-    depth = np.asarray(depth)
-    if depth.ndim != 2:
-        raise ValueError("expected an (H, W) depth image")
-    header = struct.pack("<iii", depth.shape[1], depth.shape[0], 1)
-    Path(path).write_bytes(header + depth.astype("<f4").tobytes())
-
-
-def load_depth_f32(path: str | Path) -> np.ndarray:
-    """Read a raw float32 depth dump written by `save_depth`, as (H, W) float32."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise ImageFormatError(f"{path}: missing depth header")
-    width, height, channels = struct.unpack("<iii", raw[:12])
-    if channels != 1 or width <= 0 or height <= 0:
-        raise ImageFormatError(f"{path}: bad depth header ({width}x{height}x{channels})")
-    expected = width * height * 4
-    data = raw[12 : 12 + expected]
-    if len(data) != expected:
-        raise ImageFormatError(f"{path}: truncated depth data")
-    return np.frombuffer(data, dtype="<f4").reshape(height, width).astype(np.float32, copy=False)
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3) / 255.0

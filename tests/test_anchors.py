@@ -1,7 +1,9 @@
 """Tests for the anchor database: descriptors, subsampling, retrieval, and I/O."""
 
+import dataclasses
 import json
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,6 @@ from splatreloc import (
     build_anchor_db,
     global_descriptor,
     load_anchor_db,
-    load_depth_f32,
-    load_ppm,
     look_at,
     render,
     retrieve,
@@ -155,10 +155,23 @@ class TestBuildAnchorDb:
             build_anchor_db(SplatScene(sky_color=SKY), trajectory, cam, spacing=3.0)
 
 
-def saved_files(db, root: Path) -> dict[str, bytes]:
-    """Every file ``save_anchor_db`` writes for ``db``, by name."""
-    save_anchor_db(root, db)
-    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+def map_bytes(db, path: Path) -> bytes:
+    """The bytes ``save_anchor_db`` writes for ``db``."""
+    save_anchor_db(path, db)
+    return path.read_bytes()
+
+
+def record_start(raw: bytes, cam, i: int) -> int:
+    """Offset of anchor ``i``'s record in the map file ``raw`` (module docstring layout)."""
+    header = raw.index(b"\n") + 1
+    return header + 48 + i * (1600 + 7 * cam.width * cam.height)
+
+
+def patched(path: Path, offset: int, value: bytes) -> None:
+    """Overwrite the map file at ``path`` with ``value`` at ``offset``."""
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + len(value)] = value
+    path.write_bytes(bytes(raw))
 
 
 class TestBuildPool:
@@ -192,7 +205,7 @@ class TestBuildPool:
             assert got.pose.as_array().tobytes() == want.pose.as_array().tobytes()
 
         in_process = AnchorDatabase(camera=cam, spacing=3.0, records=expected)
-        assert saved_files(db, tmp_path / "pool") == saved_files(in_process, tmp_path / "ref")
+        assert map_bytes(db, tmp_path / "pool.map") == map_bytes(in_process, tmp_path / "ref.map")
 
     def test_no_worker_outlives_the_build(self, small_world, cam):
         scene, trajectory = small_world
@@ -248,166 +261,228 @@ class TestRetrieve:
 
 class TestAnchorDbIO:
     def test_roundtrip_exact(self, anchor_db, tmp_path):
-        """Save then load reproduces images and descriptors exactly.
-
-        Pose rotations are compared with a 1e-12 tolerance: reconstruction
-        re-normalizes the quaternion, which may shift the last bit.
-        """
-        save_anchor_db(tmp_path / "db", anchor_db)
-        loaded = load_anchor_db(tmp_path / "db")
+        """Save then load reproduces every bit, and each anchor id is its position."""
+        save_anchor_db(tmp_path / "db.map", anchor_db)
+        loaded = load_anchor_db(tmp_path / "db.map")
         assert loaded.spacing == anchor_db.spacing
         assert loaded.camera == anchor_db.camera
         assert len(loaded) == len(anchor_db)
-        for orig, back in zip(anchor_db.records, loaded.records):
-            assert back.anchor_id == orig.anchor_id
+        for position, (orig, back) in enumerate(zip(anchor_db.records, loaded.records)):
+            assert back.anchor_id == orig.anchor_id == position
             assert back.source_index == orig.source_index
             for name in ("rgb", "depth", "descriptor"):
                 got, want = getattr(back, name), getattr(orig, name)
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
-            assert np.array_equal(back.pose.translation, orig.pose.translation)
-            assert_allclose(back.pose.rotation, orig.pose.rotation, atol=1e-12)
+            assert back.pose.as_array().tobytes() == orig.pose.as_array().tobytes()
 
     def test_save_load_save_is_identical(self, anchor_db, tmp_path):
-        """A reloaded map writes byte-identical files."""
-        first = saved_files(anchor_db, tmp_path / "a")
-        assert saved_files(load_anchor_db(tmp_path / "a"), tmp_path / "b") == first
+        """A reloaded map writes a byte-identical file."""
+        first = map_bytes(anchor_db, tmp_path / "a.map")
+        assert map_bytes(load_anchor_db(tmp_path / "a.map"), tmp_path / "b.map") == first
 
     def test_save_is_deterministic(self, anchor_db, tmp_path):
         """Saving the same database twice writes byte-identical files."""
-        save_anchor_db(tmp_path / "a", anchor_db)
-        save_anchor_db(tmp_path / "b", anchor_db)
-        for name in ["index.json", "anchor_000.ppm", "anchor_000.depth"]:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert map_bytes(anchor_db, tmp_path / "a.map") == map_bytes(anchor_db, tmp_path / "b.map")
 
-    def test_index_structure(self, anchor_db, tmp_path):
-        """index.json declares the format tag and references existing files."""
-        save_anchor_db(tmp_path / "db", anchor_db)
-        index = json.loads((tmp_path / "db" / "index.json").read_text())
-        assert index["format"] == "anchordb v1"
-        assert len(index["anchors"]) == len(anchor_db)
-        for entry in index["anchors"]:
-            assert (tmp_path / "db" / entry["rgb"]).exists()
-            assert (tmp_path / "db" / entry["depth"]).exists()
-            assert len(entry["descriptor"]) == 192
+    def test_header_and_size(self, anchor_db, tmp_path):
+        """The header names the format, count and image size; the size is exact."""
+        head, _, body = map_bytes(anchor_db, tmp_path / "db.map").partition(b"\n")
+        assert head == b"anchordb v2 5 320 240"
+        assert len(body) == 48 + 5 * (1600 + 7 * 320 * 240)
+
+    def test_records_are_laid_out_as_documented(self, anchor_db, cam, tmp_path):
+        """Each record: source frame <i8, pose and descriptor <f8, RGB levels, depth <f4."""
+        raw = map_bytes(anchor_db, tmp_path / "db.map")
+        pixels = cam.width * cam.height
+        for i, rec in enumerate(anchor_db.records):
+            start = record_start(raw, cam, i)
+            fields = [
+                np.array(rec.source_index, "<i8"), rec.pose.as_array().astype("<f8"),
+                rec.descriptor.astype("<f8"), rec.rgb, rec.depth.astype("<f4"),
+            ]
+            assert raw[start : start + 1600 + 7 * pixels] == b"".join(f.tobytes() for f in fields)
 
     def test_retrieval_survives_roundtrip(self, anchor_db, tmp_path):
         """Self-retrieval still works on a reloaded database."""
-        save_anchor_db(tmp_path / "db", anchor_db)
-        loaded = load_anchor_db(tmp_path / "db")
+        save_anchor_db(tmp_path / "db.map", anchor_db)
+        loaded = load_anchor_db(tmp_path / "db.map")
         for rec in loaded.records:
             assert retrieve(rec.rgb / 255.0, loaded) == rec.anchor_id
 
-    def test_bad_format_tag_raises(self, tmp_path):
-        bad = tmp_path / "db"
-        bad.mkdir()
-        (bad / "index.json").write_text(json.dumps({"format": "bogus"}))
-        with pytest.raises(ValueError, match="anchor database"):
-            load_anchor_db(bad)
+    def test_empty_map_roundtrips(self, cam, tmp_path):
+        empty = AnchorDatabase(camera=cam, spacing=2.5, records=[])
+        assert map_bytes(empty, tmp_path / "db.map").startswith(b"anchordb v2 0 320 240\n")
+        loaded = load_anchor_db(tmp_path / "db.map")
+        assert (loaded.camera, loaded.spacing, loaded.records) == (cam, 2.5, [])
 
-    def test_missing_index_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_anchor_db(tmp_path / "nothing")
+    def test_save_and_load_take_str_or_path(self, anchor_db, tmp_path):
+        first = map_bytes(anchor_db, tmp_path / "a.map")
+        save_anchor_db(str(tmp_path / "b.map"), load_anchor_db(str(tmp_path / "a.map")))
+        assert (tmp_path / "b.map").read_bytes() == first
 
-    def edited_index(self, anchor_db, root, edit):
-        """Save the map to ``root``, then rewrite its index.json through ``edit``."""
-        save_anchor_db(root, anchor_db)
-        index = json.loads((root / "index.json").read_text())
-        edit(index)
-        (root / "index.json").write_text(json.dumps(index))
-
-    def test_camera_is_saved_as_its_fields(self, anchor_db, tmp_path):
-        save_anchor_db(tmp_path / "db", anchor_db)
-        camera = json.loads((tmp_path / "db" / "index.json").read_text())["camera"]
-        cam = anchor_db.camera
-        assert camera == {
-            "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-            "width": cam.width, "height": cam.height, "near": cam.near,
-        }
-
-    def test_missing_anchor_key_names_directory_and_key(self, anchor_db, tmp_path):
-        root = tmp_path / "db"
-        self.edited_index(anchor_db, root, lambda index: index["anchors"][1].pop("source_index"))
-        with pytest.raises(ValueError, match=f'^{root}: anchor 1 is missing "source_index"$'):
-            load_anchor_db(root)
-
-    def test_missing_index_key_names_it(self, anchor_db, tmp_path):
-        root = tmp_path / "db"
-        self.edited_index(anchor_db, root, lambda index: index.pop("spacing"))
-        with pytest.raises(ValueError, match=f'^{root}: index.json is missing "spacing"$'):
-            load_anchor_db(root)
-
-    def test_missing_camera_key_is_not_defaulted(self, anchor_db, tmp_path):
-        """``near`` has a default in CameraIntrinsics, but a map must store it."""
-        root = tmp_path / "db"
-        self.edited_index(anchor_db, root, lambda index: index["camera"].pop("near"))
-        with pytest.raises(ValueError, match=f'^{root}: camera is missing "near"$'):
-            load_anchor_db(root)
-
-    def test_unknown_camera_key_names_it(self, anchor_db, tmp_path):
-        root = tmp_path / "db"
-        self.edited_index(anchor_db, root, lambda index: index["camera"].update(skew=0.0))
-        with pytest.raises(ValueError, match=f'^{root}: camera has unknown key "skew"$'):
-            load_anchor_db(root)
-
-    def test_camera_must_be_an_object(self, anchor_db, tmp_path):
-        root = tmp_path / "db"
-        self.edited_index(anchor_db, root, lambda index: index.update(camera=[250.0]))
-        with pytest.raises(ValueError, match=f"^{root}: camera must be a JSON object$"):
-            load_anchor_db(root)
+    def test_bad_format_tag_raises(self, anchor_db, tmp_path):
+        """A file that does not start with the ``anchordb v2`` line is refused."""
+        body = map_bytes(anchor_db, tmp_path / "good.map").partition(b"\n")[2]
+        bad = tmp_path / "db.map"
+        for head in (b"anchordb v1 5 320 240\n", b"gsplat v2 5\n", b"anchordb  v2 5 320 240\n",
+                     b"{\n", b"", b"anchordb v2 5 320 240"):
+            bad.write_bytes(head + (body if head.endswith(b"\n") else b""))
+            with pytest.raises(ValueError, match=f"^{bad}: not an anchordb v2 file"):
+                load_anchor_db(bad)
 
     @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda index: index["camera"].update(fx="250"),
-             'camera "fx" must be a finite number, got "250"'),
-            (lambda index: index["camera"].update(width=320.0),
-             'camera "width" must be an integer, got 320.0'),
-            (lambda index: index["camera"].update(near=float("nan")),
-             'camera "near" must be a finite number, got NaN'),
-            (lambda index: index["anchors"][1].update(rgb=5),
-             'anchor 1 "rgb" must be a file name, got 5'),
-            (lambda index: index["anchors"][1].update(id="1"),
-             'anchor 1 "id" must be an integer, got "1"'),
-            (lambda index: index["anchors"][0].update(source_index=True),
-             'anchor 0 "source_index" must be an integer, got true'),
-            (lambda index: index["anchors"][0]["pose"].__setitem__(6, None),
-             r'anchor 0 "pose" must be a list of 7 finite numbers, got \[.*null\]'),
-            (lambda index: index["anchors"][0]["pose"].pop(),
-             r'anchor 0 "pose" must be a list of 7 finite numbers, got \[.*\]'),
-            (lambda index: index["anchors"][2]["descriptor"].pop(),
-             r'anchor 2 "descriptor" must be a list of 192 finite numbers, got \[.{76}\.\.\.'),
-            (lambda index: index.update(spacing="3"),
-             'index.json "spacing" must be a finite number, got "3"'),
-            (lambda index: index.update(anchors={}),
-             'index.json "anchors" must be a list, got {}'),
-        ],
+        "head",
+        [b"anchordb v2 5 320", b"anchordb v2 5 320 240 1", b"anchordb v2 -5 320 240",
+         b"anchordb v2 5.0 320 240", b"anchordb v2 0x5 320 240", b"anchordb v2 5 320.0 240",
+         b"anchordb v2 5 320 -240", b"anchordb v2 5  320 240", b"anchordb v2 5 320 240\r",
+         "anchordb v2 ٥ 320 240".encode()],
+        ids=["no height", "extra field", "negative count", "float count", "hex count",
+             "float width", "negative height", "double space", "CR", "non-ASCII digit"],
     )
-    def test_wrongly_typed_value_names_its_key(self, anchor_db, tmp_path, edit, message):
-        root = tmp_path / "db"
-        self.edited_index(anchor_db, root, edit)
-        with pytest.raises(ValueError, match=f"^{root}: {message}$"):
-            load_anchor_db(root)
+    def test_bad_header(self, anchor_db, tmp_path, head):
+        body = map_bytes(anchor_db, tmp_path / "good.map").partition(b"\n")[2]
+        bad = tmp_path / "db.map"
+        bad.write_bytes(head + b"\n" + body)
+        with pytest.raises(ValueError, match=f"^{bad}: bad header "):
+            load_anchor_db(bad)
+
+    @pytest.mark.parametrize("change", [-1, -4, -(1600 + 7 * 320 * 240), -10**6, 1, 4, 1600])
+    def test_truncated_or_trailing_bytes(self, anchor_db, tmp_path, change):
+        path = tmp_path / "db.map"
+        raw = map_bytes(anchor_db, path)
+        path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        size = 48 + 5 * (1600 + 7 * 320 * 240)
+        want = (
+            f"{path}: header promises 5 anchors of 320x240 ({size} bytes after the header), "
+            f"found {size + change} bytes"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_anchor_db(path)
+
+    def test_huge_count_is_a_size_error_not_an_allocation(self, tmp_path):
+        """A count or size far beyond the file's bytes is refused from the file size alone."""
+        path = tmp_path / "db.map"
+        path.write_bytes(b"anchordb v2 99999999999999 100000 100000\n" + bytes(48))
+        size = 48 + 99999999999999 * (1600 + 7 * 10**10)
+        with pytest.raises(ValueError, match=f"^{path}: header promises .* \\({size} bytes"):
+            load_anchor_db(path)
+
+    def test_camera_is_saved_as_its_fields(self, anchor_db, tmp_path):
+        """The header holds the image size, then fx, fy, cx, cy, near and the spacing."""
+        raw = map_bytes(anchor_db, tmp_path / "db.map")
+        head, _, body = raw.partition(b"\n")
+        cam = anchor_db.camera
+        assert head.split()[3:] == [str(cam.width).encode(), str(cam.height).encode()]
+        values = [cam.fx, cam.fy, cam.cx, cam.cy, cam.near, anchor_db.spacing]
+        assert body[:48] == np.array(values, "<f8").tobytes()
+
+    def test_missing_camera_key_is_not_defaulted(self, anchor_db, tmp_path):
+        """``near`` has a default in CameraIntrinsics, but a map stores and reloads its own."""
+        cam = dataclasses.replace(anchor_db.camera, near=0.25)
+        db = AnchorDatabase(camera=cam, spacing=anchor_db.spacing, records=anchor_db.records)
+        save_anchor_db(tmp_path / "db.map", db)
+        assert load_anchor_db(tmp_path / "db.map").camera.near == 0.25
+
+    @pytest.mark.parametrize(
+        "where, offset, value, message",
+        [
+            ("camera", 0, np.nan, "camera fx must be finite, got nan"),
+            ("camera", 24, np.inf, "camera cy must be finite, got inf"),
+            ("camera", 32, np.nan, "camera near must be finite, got nan"),
+            ("camera", 8, -250.0, "focal lengths must be positive"),
+            ("camera", 40, np.nan, "anchor spacing must be positive and finite, got nan"),
+            ("camera", 40, 0.0, "anchor spacing must be positive and finite, got 0.0"),
+            (2, 8, np.nan, "anchor 2: quaternion must be finite"),
+            (1, 8 + 8 * 5, np.inf, "anchor 1: pose translation must be finite"),
+            (3, 64 + 8 * 100, np.nan, "anchor 3: descriptor must be finite"),
+        ],
+        ids=["fx", "cy", "near", "fy", "spacing NaN", "spacing 0", "quaternion", "translation",
+             "descriptor"],
+    )
+    def test_bad_value_names_the_file(self, anchor_db, cam, tmp_path, where, offset, value,
+                                      message):
+        path = tmp_path / "db.map"
+        raw = map_bytes(anchor_db, path)
+        start = raw.index(b"\n") + 1 if where == "camera" else record_start(raw, cam, where)
+        patched(path, start + offset, np.array(value, "<f8").tobytes())
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+            load_anchor_db(path)
+
+    def test_zero_image_size_names_the_file(self, tmp_path):
+        path = tmp_path / "db.map"
+        values = np.array([250.0, 250.0, 160.0, 120.0, 0.1, 3.0], "<f8")
+        path.write_bytes(b"anchordb v2 0 0 240\n" + values.tobytes())
+        with pytest.raises(ValueError, match=f"^{path}: image dimensions must be positive$"):
+            load_anchor_db(path)
+
+    def test_missing_index_raises(self, tmp_path):
+        """A map file that does not exist raises the OS error."""
+        with pytest.raises(FileNotFoundError):
+            load_anchor_db(tmp_path / "nothing.map")
+
+    def test_v1_directory_is_refused(self, tmp_path):
+        """An ``anchordb v1`` map was a directory; it is refused with what to do."""
+        old = tmp_path / "anchors"
+        old.mkdir()
+        (old / "index.json").write_text(json.dumps({"format": "anchordb v1"}))
+        want = (
+            f"{old}: a directory, as anchordb v1 maps were; "
+            "rebuild it with `splatreloc build-anchors`"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_anchor_db(old)
+
+    def test_loaded_map_does_not_depend_on_the_file(self, anchor_db, cam, tmp_path):
+        """The loaded arrays are in memory: rewriting or removing the file
+        afterwards leaves the map as it was loaded."""
+        path = tmp_path / "db.map"
+        save_anchor_db(path, anchor_db)
+        back = load_anchor_db(path)
+        save_anchor_db(path, AnchorDatabase(camera=cam, spacing=1.0, records=[]))
+        path.unlink()
+        for orig, rec in zip(anchor_db.records, back.records):
+            for name in ("rgb", "depth", "descriptor"):
+                values = getattr(rec, name)
+                assert not isinstance(values, np.memmap), name
+                assert values.tobytes() == getattr(orig, name).tobytes(), name
+
+    def test_save_over_the_file_a_live_map_came_from(self, anchor_db, tmp_path):
+        """A map loaded from a file can be saved over that file, then read back."""
+        path = tmp_path / "db.map"
+        first = map_bytes(anchor_db, path)
+        assert map_bytes(load_anchor_db(path), path) == first
+        assert map_bytes(load_anchor_db(path), tmp_path / "again.map") == first
+
+    def test_save_refuses_images_of_another_size(self, anchor_db, tmp_path):
+        """Every record must have the camera's image size; nothing is written otherwise."""
+        cam = dataclasses.replace(anchor_db.camera, width=32)
+        db = AnchorDatabase(camera=cam, spacing=anchor_db.spacing, records=anchor_db.records)
+        with pytest.raises(ValueError, match="^anchor 0 is 320x240, the camera 32x240$"):
+            save_anchor_db(tmp_path / "db.map", db)
+        assert not (tmp_path / "db.map").exists()
 
 
 class TestStoredPrecision:
     """Records keep the map at the precision it is saved with."""
 
     def test_reference_view_has_the_float_bits(self, anchor_db, small_scene, cam, tmp_path):
-        """A stored anchor's float view equals the quantized render and the saved files."""
-        save_anchor_db(tmp_path / "db", anchor_db)
-        for rec in anchor_db.records:
+        """A stored anchor's float view equals the quantized render and the saved file."""
+        raw = map_bytes(anchor_db, tmp_path / "db.map")
+        pixels = cam.width * cam.height
+        for i, rec in enumerate(anchor_db.records):
             out = render(small_scene, rec.pose, cam)
             view = ReferenceView.of_anchor(rec)
             want_rgb = np.clip(np.round(out.rgb * 255), 0, 255) / 255
             want_depth = out.depth.astype(np.float32).astype(np.float64)
-            name = f"anchor_{rec.anchor_id:03d}"
+            rgb_start = record_start(raw, cam, i) + 1600
+            stored_rgb = np.frombuffer(raw, np.uint8, 3 * pixels, rgb_start)
+            stored_depth = np.frombuffer(raw, "<f4", pixels, rgb_start + 3 * pixels)
             assert view.rgb.dtype == view.depth.dtype == np.float64
             assert view.rgb.tobytes() == want_rgb.tobytes()
-            assert view.rgb.tobytes() == load_ppm(tmp_path / "db" / f"{name}.ppm").tobytes()
+            assert view.rgb.ravel().tobytes() == (stored_rgb / 255.0).tobytes()
             assert view.depth.tobytes() == want_depth.tobytes()
-            stored = load_depth_f32(tmp_path / "db" / f"{name}.depth")
-            assert view.depth.tobytes() == stored.astype(np.float64).tobytes()
+            assert view.depth.ravel().tobytes() == stored_depth.astype(np.float64).tobytes()
             assert view.pose is rec.pose
 
     @pytest.mark.parametrize(
@@ -421,6 +496,7 @@ class TestStoredPrecision:
             ("depth", np.zeros((32, 24), np.float32)),
             ("descriptor", np.zeros(191)),
             ("descriptor", [0.0] * 192),
+            ("descriptor", np.full(192, np.nan)),
         ],
     )
     def test_bad_array_names_its_field(self, field, value):

@@ -37,7 +37,7 @@ from splatreloc.scene import DEFAULT_CAMERA
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Scene, trajectory, anchors, and one query image, built via the CLI."""
+    """Scene, trajectory, anchor map, and one query image, built via the CLI."""
     root = tmp_path_factory.mktemp("cli_ws")
     scene_path = root / "scene.gsplat"
     traj_path = root / "gt.txt"
@@ -53,14 +53,14 @@ def workspace(tmp_path_factory):
         )
         == 0
     )
-    anchors_dir = root / "anchors"
+    anchors_map = root / "anchors.map"
     assert (
         main(
             [
                 "build-anchors",
                 "--scene", str(scene_path),
                 "--trajectory", str(traj_path),
-                "--out", str(anchors_dir),
+                "--out", str(anchors_map),
             ]
         )
         == 0
@@ -78,7 +78,7 @@ def run_relocalize(workspace, out_dir, extra=()):
         [
             "relocalize",
             "--scene", str(workspace / "scene.gsplat"),
-            "--anchors", str(workspace / "anchors"),
+            "--anchors", str(workspace / "anchors.map"),
             "--queries", str(workspace / "queries"),
             "--out", str(out_dir),
             "--matcher", "oracle",
@@ -152,10 +152,10 @@ class TestSynth:
 
 class TestBuildAnchors:
     def test_database_reloads(self, workspace):
-        db = load_anchor_db(workspace / "anchors")
+        db = load_anchor_db(workspace / "anchors.map")
         assert len(db) == 5
         assert [rec.source_index for rec in db.records] == [0, 6, 12, 18, 24]
-        assert (workspace / "anchors" / "index.json").exists()
+        assert (workspace / "anchors.map").read_bytes().startswith(b"anchordb v2 5 320 240\n")
 
     def test_spacing_flag(self, workspace, tmp_path):
         assert (
@@ -172,12 +172,9 @@ class TestBuildAnchors:
         scene = load_splat_scene(workspace / "scene.gsplat")
         trajectory = load_trajectory(workspace / "gt.txt")
         db = build_anchor_db(scene, trajectory, DEFAULT_CAMERA, SyntheticSceneConfig.anchor_spacing)
-        save_anchor_db(tmp_path / "expected", db)
-        written = sorted(p.name for p in (workspace / "anchors").iterdir())
-        assert written == sorted(p.name for p in (tmp_path / "expected").iterdir())
-        for name in written:
-            expected = (tmp_path / "expected" / name).read_bytes()
-            assert (workspace / "anchors" / name).read_bytes() == expected
+        save_anchor_db(tmp_path / "expected.map", db)
+        expected = (tmp_path / "expected.map").read_bytes()
+        assert (workspace / "anchors.map").read_bytes() == expected
 
 
 class TestRelocalizeCommand:
@@ -218,7 +215,7 @@ class TestRelocalizeCommand:
         assert main(required_args(workspace, tmp_path, "relocalize")) == 0
         query = load_ppm(workspace / "queries" / "0.ppm")
         scene = load_splat_scene(workspace / "scene.gsplat")
-        db = load_anchor_db(workspace / "anchors")
+        db = load_anchor_db(workspace / "anchors.map")
         result = relocalize(query, scene, db, ReferenceMatcher())
         save_result(tmp_path / "expected.json", result, query_id="0")
         assert (tmp_path / "r" / "0.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
@@ -236,7 +233,7 @@ class TestExternalMatcherCommand:
         """Relocalize renders of ``frames``, each with an iteration-1 match file only."""
         scene = load_splat_scene(workspace / "scene.gsplat")
         trajectory = load_trajectory(workspace / "gt.txt")
-        db = load_anchor_db(workspace / "anchors")
+        db = load_anchor_db(workspace / "anchors.map")
         queries, matches_dir = tmp_path / "queries", tmp_path / "matches"
         queries.mkdir()
         matches_dir.mkdir()
@@ -252,7 +249,7 @@ class TestExternalMatcherCommand:
         out = tmp_path / "results"
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors"), "--queries", str(queries),
+             "--anchors", str(workspace / "anchors.map"), "--queries", str(queries),
              "--out", str(out), "--matcher", "external", "--matches-dir", str(matches_dir)]
         )
         assert code == 0
@@ -276,7 +273,7 @@ class TestExternalMatcherCommand:
     def test_matches_dir_is_required(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
              "--matcher", "external"]
         )
@@ -441,6 +438,55 @@ class TestErrorHandling:
         want = f"error: 0.json: no ground-truth pose for query id {query_id!r}\n"
         assert capsys.readouterr().err == want
 
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [
+            ("status", [1], '"status" must be a string, got [1]'),
+            ("query_id", [1], '"query_id" must be a string or an integer, got [1]'),
+            ("query_id", 1.5, '"query_id" must be a string or an integer, got 1.5'),
+            ("final_pose", {"qw": 1.0},
+             '"final_pose" must be a list of 7 numbers, got {"qw": 1.0}'),
+            ("final_pose", [1.0, 0, 0, 0, 0, 0],
+             '"final_pose" must be a list of 7 numbers, got [1.0, 0, 0, 0, 0, 0]'),
+            ("final_pose", [1.0, 0, 0, 0, 0, 0, "0"],
+             '"final_pose" must be a list of 7 numbers, got [1.0, 0, 0, 0, 0, 0, "0"]'),
+            ("final_pose", [float("nan"), 0, 0, 0, 0, 0, 0],
+             '"final_pose": quaternion must be finite'),
+            ("iterations", "2", '"iterations" must be a non-negative integer, got "2"'),
+            ("iterations", True, '"iterations" must be a non-negative integer, got true'),
+            ("iterations", -1, '"iterations" must be a non-negative integer, got -1'),
+        ],
+        ids=["status list", "query_id list", "query_id float", "pose object", "short pose",
+             "pose string", "pose NaN", "iterations string", "iterations bool",
+             "iterations negative"],
+    )
+    def test_evaluate_wrongly_typed_result_value(self, tmp_path, capsys, key, value, want):
+        """A result value of the wrong JSON type is an error line naming the file and key."""
+        args = evaluate_args(tmp_path, [(1, stages(1.0, 2.0, 3.0, 4.0))])
+        result = tmp_path / "results" / "0.json"
+        payload = json.loads(result.read_text())
+        payload[key] = value
+        result.write_text(json.dumps(payload))
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: 0.json: {want}\n"
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "5", None, [1.0]], ids=["text", "digits", "null", "list"]
+    )
+    def test_evaluate_non_numeric_sidecar_stage(self, tmp_path, capsys, value):
+        """A stage total that is not a JSON number is an error line naming the sidecar."""
+        args = evaluate_args(tmp_path, [(1, {**stages(1.0, 2.0, 3.0, 4.0), "pnp": value})])
+        assert main(args) == 1
+        want = f'error: 0.timing.json: "pnp" must be a number, got {json.dumps(value)}\n'
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("name", ["0.json", "0.timing.json"])
+    def test_evaluate_invalid_json_names_the_file(self, tmp_path, capsys, name):
+        args = evaluate_args(tmp_path, [(1, stages(1.0, 2.0, 3.0, 4.0))])
+        (tmp_path / "results" / name).write_text('{"status": ')
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}: invalid JSON (")
+
     def test_oracle_query_without_ground_truth_line(self, workspace, tmp_path, capsys):
         """The oracle matcher needs the query's frame among the --query-gt lines."""
         queries = tmp_path / "queries"
@@ -448,7 +494,7 @@ class TestErrorHandling:
         (queries / "99.ppm").write_bytes((workspace / "queries" / "0.ppm").read_bytes())
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(queries), "--out", str(tmp_path / "o"),
              "--matcher", "oracle", "--query-gt", str(workspace / "gt.txt")]
         )
@@ -459,7 +505,7 @@ class TestErrorHandling:
     def test_missing_scene_file(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(tmp_path / "nope.gsplat"),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
              "--matcher", "oracle", "--query-gt", str(workspace / "gt.txt")]
         )
@@ -472,7 +518,7 @@ class TestErrorHandling:
         scene.write_text("gsplat v1 1\nsky 0 0 0\n0 0 5 1 0 0 0 0.1 0.1 0.1 0.8 0.5 0.5 0.5\n")
         code = main(
             ["relocalize", "--scene", str(scene),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
              "--matcher", "oracle", "--query-gt", str(workspace / "gt.txt")]
         )
@@ -486,7 +532,7 @@ class TestErrorHandling:
     def test_oracle_requires_ground_truth(self, workspace, tmp_path, capsys):
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
              "--matcher", "oracle"]
         )
@@ -498,7 +544,7 @@ class TestErrorHandling:
         config.write_text(json.dumps({"matcher": "bogus"}))
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
              "--config", str(config)]
         )
@@ -510,7 +556,7 @@ class TestErrorHandling:
         empty.mkdir()
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors"),
+             "--anchors", str(workspace / "anchors.map"),
              "--queries", str(empty), "--out", str(tmp_path / "o"),
              "--matcher", "reference"]
         )
@@ -529,14 +575,10 @@ class TestErrorHandling:
 
     @staticmethod
     def relocalize_edited_map(workspace, tmp_path, edit):
-        """Exit code of ``relocalize`` on a copy of the map edited by ``edit``, and the copy."""
-        anchors = tmp_path / "anchors"
-        anchors.mkdir()
-        for path in (workspace / "anchors").iterdir():
-            (anchors / path.name).write_bytes(path.read_bytes())
-        index = json.loads((anchors / "index.json").read_text())
-        edit(index)
-        (anchors / "index.json").write_text(json.dumps(index))
+        """Exit code of ``relocalize`` on a copy of the map file edited by ``edit``
+        (bytes to bytes), and the copy."""
+        anchors = tmp_path / "anchors.map"
+        anchors.write_bytes(edit((workspace / "anchors.map").read_bytes()))
         code = main(
             ["relocalize", "--scene", str(workspace / "scene.gsplat"),
              "--anchors", str(anchors),
@@ -544,13 +586,30 @@ class TestErrorHandling:
         )
         return code, anchors
 
-    def test_malformed_anchor_index(self, workspace, tmp_path, capsys):
-        """A map whose index.json lost a key is an error line naming the map, not a traceback."""
-        code, anchors = self.relocalize_edited_map(
-            workspace, tmp_path, lambda index: index["anchors"][0].pop("source_index")
+    def test_truncated_anchor_map(self, workspace, tmp_path, capsys):
+        """A map file that lost its last byte is an error line naming the map, not a traceback."""
+        code, anchors = self.relocalize_edited_map(workspace, tmp_path, lambda raw: raw[:-1])
+        assert code == 1
+        size = 48 + 5 * (1600 + 7 * 320 * 240)
+        assert capsys.readouterr().err == (
+            f"error: {anchors}: header promises 5 anchors of 320x240 ({size} bytes after the "
+            f"header), found {size - 1} bytes\n"
+        )
+
+    def test_v1_anchor_directory(self, workspace, tmp_path, capsys):
+        """A map in the old directory layout is an error line that says to rebuild it."""
+        old = tmp_path / "anchors"
+        old.mkdir()
+        (old / "index.json").write_text(json.dumps({"format": "anchordb v1"}))
+        code = main(
+            ["relocalize", "--scene", str(workspace / "scene.gsplat"), "--anchors", str(old),
+             "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o")]
         )
         assert code == 1
-        assert capsys.readouterr().err == f'error: {anchors}: anchor 0 is missing "source_index"\n'
+        assert capsys.readouterr().err == (
+            f"error: {old}: a directory, as anchordb v1 maps were; "
+            "rebuild it with `splatreloc build-anchors`\n"
+        )
 
     @pytest.mark.parametrize(
         "flag, want",
@@ -567,25 +626,28 @@ class TestErrorHandling:
         assert capsys.readouterr().err == want
         assert not (tmp_path / "a").exists()
 
-    def test_wrongly_typed_anchor_index_value(self, workspace, tmp_path, capsys):
-        """A value of the wrong JSON type is an error line naming its key, not a traceback."""
-        code, anchors = self.relocalize_edited_map(
-            workspace, tmp_path, lambda index: index["camera"].update(fx="250")
-        )
+    def test_non_finite_anchor_map_value(self, workspace, tmp_path, capsys):
+        """A NaN camera value in the map file is an error line naming the map and value."""
+
+        def nan_fx(raw: bytes) -> bytes:
+            start = raw.index(b"\n") + 1
+            return raw[:start] + np.array(np.nan, "<f8").tobytes() + raw[start + 8 :]
+
+        code, anchors = self.relocalize_edited_map(workspace, tmp_path, nan_fx)
         assert code == 1
-        want = f'error: {anchors}: camera "fx" must be a finite number, got "250"\n'
-        assert capsys.readouterr().err == want
+        assert capsys.readouterr().err == f"error: {anchors}: camera fx must be finite, got nan\n"
 
 
 def required_args(workspace, tmp_path, command):
     """``command`` with only its required flags, reading the workspace, writing to tmp_path."""
-    ws = {name: str(workspace / name) for name in ("scene.gsplat", "gt.txt", "anchors", "queries")}
+    names = ("scene.gsplat", "gt.txt", "anchors.map", "queries")
+    ws = {name: str(workspace / name) for name in names}
     return {
         "synth": ["synth", "--out", str(tmp_path / "s.gsplat"),
                   "--traj-out", str(tmp_path / "t.txt")],
         "build-anchors": ["build-anchors", "--scene", ws["scene.gsplat"],
                           "--trajectory", ws["gt.txt"], "--out", str(tmp_path / "a")],
-        "relocalize": ["relocalize", "--scene", ws["scene.gsplat"], "--anchors", ws["anchors"],
+        "relocalize": ["relocalize", "--scene", ws["scene.gsplat"], "--anchors", ws["anchors.map"],
                        "--queries", ws["queries"], "--out", str(tmp_path / "r")],
     }[command]
 

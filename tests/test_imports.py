@@ -35,8 +35,8 @@ def scipy_modules():
 
 cam = sr.DEFAULT_CAMERA
 scene, trajectory = sr.generate_synthetic_scene(5, sr.SyntheticSceneConfig(n_gaussians=300))
-sr.save_anchor_db("anchors", sr.build_anchor_db(scene, trajectory, cam, spacing=3.0))
-db = sr.load_anchor_db("anchors")
+sr.save_anchor_db("anchors.map", sr.build_anchor_db(scene, trajectory, cam, spacing=3.0))
+db = sr.load_anchor_db("anchors.map")
 pose = trajectory.pose_for(1)
 query = sr.render(scene, pose, cam).rgb
 Path("matches").mkdir()
@@ -77,13 +77,13 @@ codes = [
     main(["synth", "--out", "scene.gsplat", "--traj-out", "gt.txt", "--seed", "5",
           "--n-gaussians", "300"]),
     main(["build-anchors", "--scene", "scene.gsplat", "--trajectory", "gt.txt",
-          "--out", "anchors"]),
+          "--out", "anchors.map"]),
 ]
 scene, trajectory = load_splat_scene("scene.gsplat"), load_trajectory("gt.txt")
 Path("queries").mkdir()
 save_ppm("queries/0001.ppm", render(scene, trajectory.pose_for(1), DEFAULT_CAMERA).rgb)
 codes += [
-    main(["relocalize", "--scene", "scene.gsplat", "--anchors", "anchors",
+    main(["relocalize", "--scene", "scene.gsplat", "--anchors", "anchors.map",
           "--queries", "queries", "--out", "results", "--matcher", "oracle",
           "--query-gt", "gt.txt", "--seed", "0"]),
     main(["evaluate", "--results", "results", "--gt", "gt.txt", "--out-dir", "report"]),
@@ -138,11 +138,11 @@ PUBLIC_NAMES = [
     "SplatScene", "SyntheticSceneConfig", "Trajectory", "TrajectoryTooShort",
     "ate_statistics", "build_anchor_db", "detect_and_describe", "epnp", "error_histogram",
     "generate_synthetic_scene", "global_descriptor", "lift_to_3d", "load_anchor_db",
-    "load_depth_f32", "load_matches", "load_ppm", "load_ppm_levels", "load_splat_scene",
+    "load_matches", "load_ppm", "load_splat_scene",
     "load_trajectory", "look_at", "match_features", "match_stats", "oracle_match", "pose_delta",
     "pose_errors", "recall_at", "recording", "refine_ba", "relocalize", "render",
-    "retrieve", "save_anchor_db", "save_depth", "save_matches",
-    "save_ppm", "save_ppm_levels", "save_result", "save_splat_scene", "save_trajectory",
+    "retrieve", "save_anchor_db", "save_matches",
+    "save_ppm", "save_result", "save_splat_scene", "save_trajectory",
     "solve_pnp", "to_levels", "traced", "umeyama_align", "write_ate_csv",
 ]
 

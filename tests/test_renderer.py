@@ -10,13 +10,9 @@ from splatreloc import (
     SplatScene,
     SyntheticSceneConfig,
     generate_synthetic_scene,
-    load_depth_f32,
     load_ppm,
-    load_ppm_levels,
     render,
-    save_depth,
     save_ppm,
-    save_ppm_levels,
     to_levels,
 )
 from splatreloc.geometry import quat_from_axis_angle, quat_to_matrix
@@ -497,14 +493,11 @@ class TestPpmIO:
         np.testing.assert_array_equal(load_ppm(path), img)
 
     def test_levels_roundtrip_exactly(self, tmp_path, rng):
-        """The 8-bit core reads back the levels it wrote; the float API wraps it."""
+        """An image of 8-bit levels / 255 is written as those levels and read back exactly."""
         levels = rng.integers(0, 256, (24, 32, 3), dtype=np.uint8)
-        save_ppm_levels(tmp_path / "levels.ppm", levels)
-        back = load_ppm_levels(tmp_path / "levels.ppm")
-        assert back.dtype == np.uint8 and back.tobytes() == levels.tobytes()
+        save_ppm(tmp_path / "levels.ppm", levels / 255.0)
+        assert (tmp_path / "levels.ppm").read_bytes() == b"P6\n32 24\n255\n" + levels.tobytes()
         assert load_ppm(tmp_path / "levels.ppm").tobytes() == (levels / 255.0).tobytes()
-        save_ppm(tmp_path / "float.ppm", levels / 255.0)
-        assert (tmp_path / "float.ppm").read_bytes() == (tmp_path / "levels.ppm").read_bytes()
 
     def test_to_levels_rounds_and_clips(self):
         image = np.array([[[-0.5, 0.0, 0.5 / 255]], [[0.5, 1.0, 1.5]]])
@@ -512,11 +505,9 @@ class TestPpmIO:
         assert levels.dtype == np.uint8
         np.testing.assert_array_equal(levels, [[[0, 0, 0]], [[128, 255, 255]]])
 
-    def test_levels_must_be_uint8(self, tmp_path):
-        with pytest.raises(ValueError, match="uint8"):
-            save_ppm_levels(tmp_path / "img.ppm", np.zeros((4, 6, 3)))
+    def test_save_needs_an_rgb_image(self, tmp_path):
         with pytest.raises(ValueError, match="H, W, 3"):
-            save_ppm_levels(tmp_path / "img.ppm", np.zeros((4, 6), np.uint8))
+            save_ppm(tmp_path / "img.ppm", np.zeros((4, 6)))
 
     def test_header_is_p6(self, tmp_path):
         path = tmp_path / "img.ppm"
@@ -563,54 +554,4 @@ class TestPpmIO:
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n2.5 2\n255\n" + bytes(12))
         with pytest.raises(ImageFormatError, match=f"^{path}: malformed PPM header$"):
-            load_ppm_levels(path)
-
-
-class TestDepthIO:
-    def test_roundtrip_exact_float32(self, tmp_path, rng):
-        depth = rng.uniform(0, 50, (24, 32)).astype(np.float32).astype(np.float64)
-        path = tmp_path / "d.depth"
-        save_depth(path, depth)
-        np.testing.assert_array_equal(load_depth_f32(path).astype(np.float64), depth)
-
-    def test_float32_core(self, tmp_path, rng):
-        """load_depth_f32 returns the stored float32 values."""
-        depth = rng.uniform(0, 50, (24, 32)).astype(np.float32)
-        save_depth(tmp_path / "d.depth", depth)
-        back = load_depth_f32(tmp_path / "d.depth")
-        assert back.dtype == np.float32 and back.tobytes() == depth.tobytes()
-
-    def test_zero_depth_preserved(self, tmp_path):
-        depth = np.zeros((8, 8))
-        depth[3, 4] = 7.5
-        path = tmp_path / "d.depth"
-        save_depth(path, depth)
-        back = load_depth_f32(path)
-        assert back[0, 0] == 0.0
-        assert back[3, 4] == 7.5
-
-    def test_truncated_payload_raises(self, tmp_path):
-        path = tmp_path / "d.depth"
-        save_depth(path, np.zeros((4, 4)))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ImageFormatError):
-            load_depth_f32(path)
-
-    def test_bad_channel_count_raises(self, tmp_path):
-        import struct
-
-        path = tmp_path / "d.depth"
-        path.write_bytes(struct.pack("<iii", 2, 2, 3) + bytes(4 * 4 * 3))
-        with pytest.raises(ImageFormatError):
-            load_depth_f32(path)
-
-    def test_file_shorter_than_header_raises(self, tmp_path):
-        path = tmp_path / "d.depth"
-        path.write_bytes(bytes(11))
-        with pytest.raises(ImageFormatError, match=f"^{path}: missing depth header$"):
-            load_depth_f32(path)
-
-    def test_save_needs_a_2d_image(self, tmp_path):
-        with pytest.raises(ValueError, match=r"^expected an \(H, W\) depth image$"):
-            save_depth(tmp_path / "d.depth", np.zeros((4, 4, 1)))
+            load_ppm(path)
