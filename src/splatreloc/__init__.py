@@ -14,7 +14,6 @@ from .errors import (
     DegenerateGeometry,
     ImageFormatError,
     InsufficientMatches,
-    MatchFileError,
     NoConsensus,
     PoseFileError,
     SplatFormatError,
@@ -35,11 +34,9 @@ from .features import (
     MatchStats,
     OracleConfig,
     detect_and_describe,
-    load_matches,
     match_features,
     match_stats,
     oracle_match,
-    save_matches,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -59,7 +56,6 @@ from .pnp import (
     umeyama_align,
 )
 from .relocalize import (
-    ExternalMatcher,
     IterationTrace,
     OracleMatcher,
     ReferenceMatcher,

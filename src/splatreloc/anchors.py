@@ -161,9 +161,9 @@ def build_anchor_db(
     """Subsample the trajectory at `spacing` meters and render each anchor.
 
     The first pose always becomes an anchor; each subsequent pose is kept
-    once it is at least `spacing` from the last kept one.  Gaps between
-    consecutive anchors must stay within [0.5, 2] x spacing, which fails only
-    when the input trajectory itself is sparser than the requested spacing.
+    once it is at least `spacing` from the last kept one, so no gap between
+    consecutive anchors is shorter.  A gap above 2 x spacing is refused: the
+    input trajectory is sparser than the requested spacing.
     The anchors render in ``min(CPUs, anchors)`` worker processes and come
     back in anchor order, with the bits of a render in this process.
     """
@@ -183,14 +183,11 @@ def build_anchor_db(
             picked.append((index, pose))
             last_t = pose.translation
 
-    gaps = [
-        float(np.linalg.norm(b[1].translation - a[1].translation))
-        for a, b in zip(picked, picked[1:])
-    ]
-    for gap in gaps:
-        if not (0.5 * spacing <= gap <= 2.0 * spacing):
+    for (_, a), (_, b) in zip(picked, picked[1:]):
+        gap = float(np.linalg.norm(b.translation - a.translation))
+        if gap > 2.0 * spacing:
             raise ValueError(
-                f"anchor gap {gap:.3f} m outside [{0.5 * spacing}, {2.0 * spacing}]; "
+                f"anchor gap {gap:.3f} m > {2.0 * spacing} m (2 x spacing); "
                 "trajectory is too sparse for the requested spacing"
             )
 

@@ -3,7 +3,9 @@
 Subcommands:
   * ``synth``         generate a random splat scene + ground-truth trajectory
   * ``build-anchors`` render an anchor database from a scene and trajectory
-  * ``relocalize``    estimate poses for a directory of query images
+  * ``relocalize``    estimate poses for a directory of query images with the
+                      reference or the oracle matcher (other matchers plug
+                      in through the library's ``relocalize.Matcher``)
   * ``evaluate``      summarize pose accuracy and timing for a results batch
 
 Every command is deterministic given its flags and seed; output files carry
@@ -45,7 +47,6 @@ from .evaluation import (
 from .features import OracleConfig
 from .geometry import CameraIntrinsics, Pose, load_trajectory, save_trajectory
 from .relocalize import (
-    ExternalMatcher,
     OracleMatcher,
     ReferenceMatcher,
     RelocalizeConfig,
@@ -67,7 +68,6 @@ _SPAN_STAGE = {
     "features.detect_and_describe": "detect",
     "features.match_features": "match",
     "features.oracle_match": "match",
-    "features.load_matches": "match",
     "pnp.solve_pnp": "pnp",
     "renderer.render": "render",
 }
@@ -112,16 +112,13 @@ def _cmd_relocalize(args: argparse.Namespace) -> int:
         if args.query_gt is None:
             raise ValueError("--query-gt is required with the oracle matcher")
         gt_trajectory = load_trajectory(args.query_gt)
-    elif args.matcher == "external":
-        if args.matches_dir is None:
-            raise ValueError("--matches-dir is required with the external matcher")
 
     for query_file in _query_files(args.queries):
         query_id = query_file.stem
         query_image = load_ppm(query_file)
         if args.matcher == "reference":
             matcher = ReferenceMatcher()
-        elif args.matcher == "oracle":
+        else:
             try:
                 gt_pose = gt_trajectory.pose_for(int(query_id))
             except (ValueError, KeyError):
@@ -135,8 +132,6 @@ def _cmd_relocalize(args: argparse.Namespace) -> int:
                 seed=args.seed * 1_000_003 + int(query_id),
             )
             matcher = OracleMatcher(gt_pose, db.camera, oracle_config)
-        else:
-            matcher = ExternalMatcher(args.matches_dir, query_id, db.camera)
 
         with recording() as spans:
             result = relocalize(query_image, scene, db, matcher, loop_config)
@@ -364,11 +359,8 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p_reloc.add_argument("--anchors", required=True, help="anchor map file (anchordb v2)")
     p_reloc.add_argument("--queries", required=True, help="directory of query .ppm images")
     p_reloc.add_argument("--out", required=True, help="output results directory")
-    p_reloc.add_argument(
-        "--matcher", choices=("reference", "oracle", "external"), default="reference"
-    )
+    p_reloc.add_argument("--matcher", choices=("reference", "oracle"), default="reference")
     p_reloc.add_argument("--query-gt", help="ground-truth poses (oracle matcher)")
-    p_reloc.add_argument("--matches-dir", help="external match files")
     p_reloc.add_argument("--seed", type=int, default=0)
     p_reloc.add_argument("--oracle-n", type=int, default=OracleConfig.n)
     p_reloc.add_argument("--noise", type=float, default=0.5, help="oracle pixel noise sigma")
@@ -391,7 +383,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
 
 def _parse_with_config(argv: list[str], path: str) -> argparse.Namespace:
     """``argv`` parsed again with the JSON file's settings as flags before its own."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(Path(path))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     tokens = []

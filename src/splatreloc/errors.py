@@ -15,12 +15,8 @@ class PoseFileError(SplatRelocError):
     """A trajectory pose file is malformed."""
 
 
-class MatchFileError(SplatRelocError):
-    """A match-exchange file is malformed or inconsistent with the images."""
-
-
 class ImageFormatError(SplatRelocError):
-    """An image or depth file on disk is malformed."""
+    """A PPM image file on disk is malformed."""
 
 
 class InsufficientMatches(SplatRelocError):

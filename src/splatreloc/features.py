@@ -11,23 +11,16 @@ at each call.
 
 An oracle matcher is provided for controlled experiments: it manufactures
 ground-truth correspondences from rendered depth and known poses, with
-configurable pixel noise and outlier contamination.
-
-Match-exchange file format (ASCII):
-
-    matches v1 <query_w> <query_h> <ref_w> <ref_h> <count>
-    <u_query> <v_query> <u_ref> <v_ref> <confidence>
-    ...
+configurable pixel noise and outlier contamination.  Both return
+``Matches``: query pixels, reference pixels and confidences, one row per match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MatchFileError
 from .geometry import CameraIntrinsics, Pose
 from .spans import traced
 
@@ -458,71 +451,3 @@ def oracle_match(
 
     matches = Matches(query=query_px, ref=ref_px, confidence=np.where(outlier_mask, 0.0, 1.0))
     return matches, outlier_mask
-
-
-def save_matches(
-    path: str | Path,
-    matches: Matches,
-    query_size: tuple[int, int],
-    ref_size: tuple[int, int],
-) -> None:
-    """Write matches in the ``matches v1`` exchange format (sizes are (w, h))."""
-    qw, qh = query_size
-    rw, rh = ref_size
-    lines = [f"matches v1 {qw} {qh} {rw} {rh} {len(matches)}"]
-    table = np.column_stack([matches.query, matches.ref, matches.confidence])
-    for row in table.tolist():
-        lines.append(" ".join(repr(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-@traced("features.load_matches")
-def load_matches(
-    path: str | Path,
-    query_size: tuple[int, int],
-    ref_size: tuple[int, int],
-) -> Matches:
-    """Read a ``matches v1`` file, validating sizes, bounds, and confidences."""
-    # (line number, text) of the non-blank lines; numbers count every line.
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise MatchFileError(f"{path}: empty file")
-    (_, header_line), rows = lines[0], lines[1:]
-    header = header_line.split()
-    if len(header) != 7 or header[0] != "matches" or header[1] != "v1":
-        raise MatchFileError(f"{path}: bad header {header_line!r}")
-    try:
-        qw, qh, rw, rh, count = (int(v) for v in header[2:])
-    except ValueError:
-        raise MatchFileError(f"{path}: non-integer header field") from None
-    if (qw, qh) != tuple(query_size) or (rw, rh) != tuple(ref_size):
-        raise MatchFileError(
-            f"{path}: header sizes {(qw, qh)}/{(rw, rh)} do not match images "
-            f"{tuple(query_size)}/{tuple(ref_size)}"
-        )
-    if count != len(rows):
-        raise MatchFileError(f"{path}: header promises {count} matches, found {len(rows)}")
-
-    table = np.empty((count, 5))
-    for row, (lineno, line) in enumerate(rows):
-        tokens = line.split()
-        if len(tokens) != 5:
-            raise MatchFileError(f"{path}: line {lineno}: expected 5 fields, got {len(tokens)}")
-        try:
-            uq, vq, ur, vr, conf = (float(t) for t in tokens)
-        except ValueError as exc:
-            raise MatchFileError(f"{path}: line {lineno}: {exc}") from None
-        if not all(np.isfinite([uq, vq, ur, vr, conf])):
-            raise MatchFileError(f"{path}: line {lineno}: non-finite value")
-        if not (0.0 <= uq < qw and 0.0 <= vq < qh):
-            raise MatchFileError(f"{path}: line {lineno}: query pixel out of bounds")
-        if not (0.0 <= ur < rw and 0.0 <= vr < rh):
-            raise MatchFileError(f"{path}: line {lineno}: reference pixel out of bounds")
-        if not 0.0 <= conf <= 1.0:
-            raise MatchFileError(f"{path}: line {lineno}: confidence out of [0, 1]")
-        table[row] = (uq, vq, ur, vr, conf)
-    return Matches(query=table[:, 0:2], ref=table[:, 2:4], confidence=table[:, 4])

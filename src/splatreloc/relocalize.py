@@ -20,18 +20,19 @@ A failed result keeps the previous estimate as its final pose, and its
   * ``<n> matches < min_matches <m>``,
   * ``<n> lifted correspondences < min_matches <m>`` (the others fell on sky
     or too close to the image border),
-  * ``pose solve failed: <error>`` (any ``SplatRelocError`` of ``solve_pnp``),
-  * the ``MatchFileError`` text of a malformed match file.
+  * ``pose solve failed: <error>`` (any ``SplatRelocError`` of ``solve_pnp``).
 
 The failed iteration's trace holds the previous estimate as its pose, the
-count, mean confidence and uniformity of that iteration's matches (zero for
-a malformed file), both deltas 0.0, and ``None`` for the inlier count and
-reprojection error.  Every other error propagates.
+count, mean confidence and uniformity of that iteration's matches, both
+deltas 0.0, and ``None`` for the inlier count and reprojection error.  Every
+other error propagates, including any that a matcher raises.
 
-Matchers and lifting see each reference as a ``ReferenceView``: its pose and
-float64 RGB and depth.  The first iteration builds it once from the
-retrieved anchor's stored 8-bit levels and float32 depth; later iterations
-take it from the render.
+A matcher is any object with ``match_pair(query_image, reference,
+iteration) -> Matches`` (the ``Matcher`` protocol); this is how a learned
+matcher plugs in.  Matchers and lifting see each reference as a
+``ReferenceView``: its pose and float64 RGB and depth.  The first iteration
+builds it once from the retrieved anchor's stored 8-bit levels and float32
+depth; later iterations take it from the render.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from typing import Protocol
 import numpy as np
 
 from .anchors import AnchorDatabase, AnchorRecord, retrieve
-from .errors import MatchFileError, SplatRelocError
+from .errors import SplatRelocError
 from .features import (
     Keypoints,
     Matches,
     OracleConfig,
     detect_and_describe,
-    load_matches,
     match_features,
     match_stats,
     oracle_match,
@@ -178,28 +178,6 @@ class OracleMatcher:
         return matches
 
 
-class ExternalMatcher:
-    """Reads per-iteration match files produced by an outside tool.
-
-    Expects ``<query_id>_iter<k>.matches`` inside ``directory``; a missing
-    file yields no matches (the loop then reports a failed status).
-    """
-
-    def __init__(self, directory: str | Path, query_id: str, cam: CameraIntrinsics) -> None:
-        self.directory = Path(directory)
-        self.query_id = query_id
-        self.cam = cam
-
-    def match_pair(
-        self, query_image: np.ndarray, reference: ReferenceView, iteration: int
-    ) -> Matches:
-        path = self.directory / f"{self.query_id}_iter{iteration}.matches"
-        if not path.exists():
-            return Matches.empty()
-        size = (self.cam.width, self.cam.height)
-        return load_matches(path, size, size)
-
-
 @dataclass(frozen=True)
 class RelocalizeConfig:
     """Loop termination and robustness settings."""
@@ -301,12 +279,8 @@ def relocalize(
             out = render(scene, current, cam)
             reference = ReferenceView(current, out.rgb, out.depth)
 
-        try:
-            matches = matcher.match_pair(query_image, reference, iteration)
-        except MatchFileError as exc:
-            matches, report = Matches.empty(), str(exc)
-        else:
-            report = _solve(matches, reference, cam, config)
+        matches = matcher.match_pair(query_image, reference, iteration)
+        report = _solve(matches, reference, cam, config)
         stats = match_stats(matches, cam)
 
         if isinstance(report, str):

@@ -83,10 +83,6 @@ def _project_arrays(
     undefined and must be ignored via the mask.
     """
     n = means.shape[0]
-    if n == 0:
-        empty = np.zeros(0)
-        return np.zeros(0, dtype=bool), np.zeros((0, 2)), np.zeros((0, 2, 2)), empty, empty
-
     R_c2w = pose.rotation_matrix()
     pts_cam = (means - pose.translation) @ R_c2w  # row-wise R^T (p - t)
     z = pts_cam[:, 2]
@@ -137,12 +133,10 @@ def render(scene: SplatScene, pose: Pose, cam: CameraIntrinsics) -> RenderOutput
         scene.means, scene.quats, scene.scales, pose, cam
     )
     idx = np.flatnonzero(keep)
-    if idx.size:
-        # Front-to-back order with a content-based tie break so the output is
-        # independent of the order Gaussians appear in the scene arrays.
-        m = scene.means[idx]
-        order = np.lexsort((m[:, 0], m[:, 1], m[:, 2], z[idx]))
-        idx = idx[order]
+    # Front-to-back order with a content-based tie break so the output is
+    # independent of the order Gaussians appear in the scene arrays.
+    m = scene.means[idx]
+    idx = idx[np.lexsort((m[:, 0], m[:, 1], m[:, 2], z[idx]))]
 
     cutoff_q = EXTENT_SIGMA**2
     for start in range(0, idx.size, _SCALAR_CHUNK):

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from splatreloc import (
-    OracleConfig,
     Pose,
     ReferenceMatcher,
-    ReferenceView,
     SyntheticSceneConfig,
     Trajectory,
     build_anchor_db,
@@ -19,12 +17,9 @@ from splatreloc import (
     load_ppm,
     load_splat_scene,
     load_trajectory,
-    oracle_match,
     relocalize,
     render,
-    retrieve,
     save_anchor_db,
-    save_matches,
     save_ppm,
     save_result,
     save_splat_scene,
@@ -223,63 +218,6 @@ class TestRelocalizeCommand:
     def test_no_iterations_is_an_error(self, workspace, tmp_path, capsys):
         assert run_relocalize(workspace, tmp_path / "o", ["--max-iterations", "0"]) == 1
         assert capsys.readouterr().err == "error: max_iterations must be >= 1\n"
-
-
-class TestExternalMatcherCommand:
-    """``--matcher external`` reads ``<query>_iter<k>.matches`` from ``--matches-dir``."""
-
-    @staticmethod
-    def run(workspace, tmp_path, frames):
-        """Relocalize renders of ``frames``, each with an iteration-1 match file only."""
-        scene = load_splat_scene(workspace / "scene.gsplat")
-        trajectory = load_trajectory(workspace / "gt.txt")
-        db = load_anchor_db(workspace / "anchors.map")
-        queries, matches_dir = tmp_path / "queries", tmp_path / "matches"
-        queries.mkdir()
-        matches_dir.mkdir()
-        size = (DEFAULT_CAMERA.width, DEFAULT_CAMERA.height)
-        for frame in frames:
-            pose = trajectory.pose_for(frame)
-            save_ppm(queries / f"{frame}.ppm", render(scene, pose, DEFAULT_CAMERA).rgb)
-            anchor = db.records[retrieve(load_ppm(queries / f"{frame}.ppm"), db)]
-            depth = ReferenceView.of_anchor(anchor).depth
-            rng = np.random.default_rng(frame)
-            matches, _ = oracle_match(pose, anchor.pose, depth, DEFAULT_CAMERA, OracleConfig(), rng)
-            save_matches(matches_dir / f"{frame}_iter1.matches", matches, size, size)
-        out = tmp_path / "results"
-        code = main(
-            ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors.map"), "--queries", str(queries),
-             "--out", str(out), "--matcher", "external", "--matches-dir", str(matches_dir)]
-        )
-        assert code == 0
-        return {frame: json.loads((out / f"{frame}.json").read_text()) for frame in frames}
-
-    def test_match_files_drive_the_loop(self, workspace, tmp_path):
-        """At an anchor's pose, iteration 1's file alone converges; elsewhere the
-        loop asks for an iteration-2 file, and its absence fails the query."""
-        gt = load_trajectory(workspace / "gt.txt")
-        results = self.run(workspace, tmp_path, (0, 1))
-        at_anchor, between = results[0], results[1]
-        assert at_anchor["status"] == "converged" and at_anchor["iterations"] == 1
-        assert at_anchor["traces"][0]["match_count"] == OracleConfig().n
-        position = np.array(at_anchor["final_pose"][4:])
-        assert np.linalg.norm(position - gt.pose_for(0).translation) < 1e-6
-        assert between["status"] == "failed" and between["iterations"] == 2
-        assert between["message"] == "iteration 2: 0 matches < min_matches 12"
-        assert between["traces"][0]["inlier_count"] is not None
-        assert between["final_pose"] == between["traces"][0]["pose"]
-
-    def test_matches_dir_is_required(self, workspace, tmp_path, capsys):
-        code = main(
-            ["relocalize", "--scene", str(workspace / "scene.gsplat"),
-             "--anchors", str(workspace / "anchors.map"),
-             "--queries", str(workspace / "queries"), "--out", str(tmp_path / "o"),
-             "--matcher", "external"]
-        )
-        assert code == 1
-        want = "error: --matches-dir is required with the external matcher\n"
-        assert capsys.readouterr().err == want
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +477,14 @@ class TestErrorHandling:
         assert code == 1
         assert "query-gt" in capsys.readouterr().err
 
+    def test_config_invalid_json_names_the_file(self, workspace, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text('{"seed": ')
+        args = [*required_args(workspace, tmp_path, "synth"), "--config", str(config)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: bad.json: invalid JSON (Expecting value")
+        assert not (tmp_path / "s.gsplat").exists()
+
     def test_unknown_matcher_via_config(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"matcher": "bogus"}))
@@ -767,7 +713,6 @@ OPTIONAL_FLAGS = {
         "--config": (str, None),
         "--matcher": (str, "reference"),
         "--query-gt": (str, None),
-        "--matches-dir": (str, None),
         "--seed": (int, 0),
         "--oracle-n": (int, 150),
         "--noise": (float, 0.5),
@@ -823,4 +768,4 @@ class TestFlagTable:
         (matcher,) = (
             a for a in self.subcommands()["relocalize"]._actions if a.dest == "matcher"
         )
-        assert matcher.choices == ("reference", "oracle", "external")
+        assert matcher.choices == ("reference", "oracle")

@@ -1,5 +1,4 @@
-"""Keypoint detection, descriptor matching, the ground-truth match generator,
-and the match exchange format."""
+"""Keypoint detection, descriptor matching and the ground-truth match generator."""
 
 import numpy as np
 import pytest
@@ -8,13 +7,10 @@ from scipy.ndimage import gaussian_filter
 from splatreloc import (
     Keypoints,
     Matches,
-    MatchFileError,
     OracleConfig,
     Pose,
-    load_matches,
     match_features,
     oracle_match,
-    save_matches,
 )
 from splatreloc import features
 from splatreloc.features import (
@@ -812,135 +808,3 @@ class TestOracleMatch:
             OracleConfig(pixel_noise_sigma=-1.0)
         with pytest.raises(ValueError, match="pixel_noise_sigma"):
             OracleConfig(pixel_noise_sigma=float("nan"))
-
-
-# ===========================================================================
-# Match exchange format
-# ===========================================================================
-
-
-class TestMatchFileFormat:
-    def make_matches(self, n=20, seed=0):
-        rng = np.random.default_rng(seed)
-        rows = np.array([
-            [rng.uniform(0, 319.9), rng.uniform(0, 239.9),
-             rng.uniform(0, 319.9), rng.uniform(0, 239.9), rng.uniform(0, 1)]
-            for _ in range(n)
-        ]).reshape(-1, 5)
-        return Matches(query=rows[:, 0:2], ref=rows[:, 2:4], confidence=rows[:, 4])
-
-    def test_roundtrip_exact(self, tmp_path):
-        matches = self.make_matches(n=500)
-        path = tmp_path / "m.matches"
-        size = (320, 240)
-        save_matches(path, matches, size, size)
-        back = load_matches(path, size, size)
-        assert len(back) == 500
-        np.testing.assert_array_equal(matches.query, back.query)
-        np.testing.assert_array_equal(matches.ref, back.ref)
-        np.testing.assert_array_equal(matches.confidence, back.confidence)
-
-    def test_save_load_save_is_byte_identical(self, tmp_path, cam):
-        size = (cam.width, cam.height)
-        for k, matches in enumerate([
-            self.make_matches(n=200),
-            oracle_match(
-                Pose.identity(), Pose.identity(), flat_depth(cam), cam,
-                OracleConfig(n=100, pixel_noise_sigma=0.7, outlier_fraction=0.3, seed=8),
-            )[0],
-        ]):
-            first, second = tmp_path / f"a{k}.matches", tmp_path / f"b{k}.matches"
-            save_matches(first, matches, size, size)
-            save_matches(second, load_matches(first, size, size), size, size)
-            assert first.read_bytes() == second.read_bytes()
-
-    def test_header_contents(self, tmp_path):
-        path = tmp_path / "m.matches"
-        save_matches(path, self.make_matches(3), (320, 240), (320, 240))
-        assert path.read_text().splitlines()[0] == "matches v1 320 240 320 240 3"
-
-    def test_empty_match_list_roundtrips(self, tmp_path):
-        path = tmp_path / "m.matches"
-        save_matches(path, Matches.empty(), (320, 240), (320, 240))
-        assert len(load_matches(path, (320, 240), (320, 240))) == 0
-
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "m.matches"
-        path.write_text("matches v2 320 240 320 240 0\n")
-        with pytest.raises(MatchFileError, match="header"):
-            load_matches(path, (320, 240), (320, 240))
-
-    def test_size_mismatch_raises(self, tmp_path):
-        path = tmp_path / "m.matches"
-        save_matches(path, Matches.empty(), (320, 240), (320, 240))
-        with pytest.raises(MatchFileError, match="sizes"):
-            load_matches(path, (640, 480), (320, 240))
-
-    def test_count_mismatch_raises(self, tmp_path):
-        path = tmp_path / "m.matches"
-        path.write_text("matches v1 320 240 320 240 2\n1.0 1.0 1.0 1.0 0.5\n")
-        with pytest.raises(MatchFileError, match="promises 2"):
-            load_matches(path, (320, 240), (320, 240))
-
-    def test_out_of_bounds_pixel_names_line(self, tmp_path):
-        path = tmp_path / "m.matches"
-        path.write_text(
-            "matches v1 320 240 320 240 2\n"
-            "1.0 1.0 1.0 1.0 0.5\n"
-            "400.0 1.0 1.0 1.0 0.5\n"
-        )
-        with pytest.raises(MatchFileError, match="line 3"):
-            load_matches(path, (320, 240), (320, 240))
-
-    def test_line_numbers_count_blank_lines(self, tmp_path):
-        """Blank lines are skipped but still numbered, as in a text editor."""
-        path = tmp_path / "m.matches"
-        path.write_text(
-            "matches v1 320 240 320 240 2\n"
-            "1.0 1.0 1.0 1.0 0.5\n"
-            "\n"
-            "   \n"
-            "1.0 1.0 1.0 1.0 1.5\n"
-        )
-        with pytest.raises(MatchFileError, match=r"m\.matches: line 5: confidence out of \[0, 1\]"):
-            load_matches(path, (320, 240), (320, 240))
-        path.write_text("\nmatches v1 320 240 320 240 1\n\n1.0 1.0 1.0\n")
-        with pytest.raises(MatchFileError, match="line 4: expected 5 fields, got 3"):
-            load_matches(path, (320, 240), (320, 240))
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "m.matches"
-        path.write_text("\nmatches v1 320 240 320 240 2\n\n1.0 2.0 3.0 4.0 0.5\n\n5.0 6.0 7.0 8.0 1.0\n\n")
-        matches = load_matches(path, (320, 240), (320, 240))
-        np.testing.assert_array_equal(matches.query, [[1.0, 2.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(matches.ref, [[3.0, 4.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(matches.confidence, [0.5, 1.0])
-
-    def test_bad_confidence_raises(self, tmp_path):
-        path = tmp_path / "m.matches"
-        path.write_text("matches v1 320 240 320 240 1\n1.0 1.0 1.0 1.0 1.5\n")
-        with pytest.raises(MatchFileError, match="confidence"):
-            load_matches(path, (320, 240), (320, 240))
-
-    def test_non_finite_value_raises(self, tmp_path):
-        path = tmp_path / "m.matches"
-        path.write_text("matches v1 320 240 320 240 1\nnan 1.0 1.0 1.0 0.5\n")
-        with pytest.raises(MatchFileError, match="finite"):
-            load_matches(path, (320, 240), (320, 240))
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("\n  \n", "empty file"),
-            ("matches v1 320 240 320.0 240 1\n", "non-integer header field"),
-            ("matches v1 320 240 320 240 1\n1.0 1.0 x 1.0 0.5\n",
-             "line 2: could not convert string to float: 'x'"),
-            ("matches v1 320 240 320 240 1\n1.0 1.0 1.0 240.0 0.5\n",
-             "line 2: reference pixel out of bounds"),
-        ],
-    )
-    def test_malformed_file_names_its_fault(self, tmp_path, text, message):
-        path = tmp_path / "m.matches"
-        path.write_text(text)
-        with pytest.raises(MatchFileError, match=f"^{path}: {message}$"):
-            load_matches(path, (320, 240), (320, 240))

@@ -22,7 +22,6 @@ SRC = str(Path(splatreloc.__file__).resolve().parents[1])
 PIPELINE = """
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -39,18 +38,13 @@ sr.save_anchor_db("anchors.map", sr.build_anchor_db(scene, trajectory, cam, spac
 db = sr.load_anchor_db("anchors.map")
 pose = trajectory.pose_for(1)
 query = sr.render(scene, pose, cam).rgb
-Path("matches").mkdir()
-results = [
-    sr.relocalize(query, scene, db, sr.OracleMatcher(pose, cam, sr.OracleConfig(seed=0))),
-    sr.relocalize(query, scene, db, sr.ExternalMatcher("matches", "0001", cam)),
-]
+result = sr.relocalize(query, scene, db, sr.OracleMatcher(pose, cam, sr.OracleConfig(seed=0)))
 estimated, ground_truth = sr.Trajectory(), sr.Trajectory()
-for index, result in enumerate(results):
-    estimated.append(index, result.final_pose)
-    ground_truth.append(index, pose)
+estimated.append(0, result.final_pose)
+ground_truth.append(0, pose)
 _, trans_errors, _ = sr.pose_errors(estimated, ground_truth)
 sr.ate_statistics(trans_errors)
-report = {"statuses": [r.status for r in results], "before_detect": scipy_modules()}
+report = {"status": result.status, "before_detect": scipy_modules()}
 
 keypoints, descriptors = sr.detect_and_describe(query)
 report["after_detect"] = scipy_modules()
@@ -106,10 +100,10 @@ def run_python(code: str, cwd: Path) -> str:
 
 
 def test_only_detection_loads_scipy(tmp_path):
-    """Map build, save/load, oracle and external relocalization and scoring load
-    no SciPy; the first detection does, and gives this process's bytes."""
+    """Map build, save/load, oracle relocalization and scoring load no SciPy;
+    the first detection does, and gives this process's bytes."""
     report = json.loads(run_python(PIPELINE, tmp_path))
-    assert report["statuses"][1] == "failed"  # the match directory is empty
+    assert report["status"] == "converged"
     assert report["before_detect"] == []
     assert "scipy.ndimage" in report["after_detect"]
 
@@ -130,18 +124,18 @@ def test_cli_runs_without_scipy(tmp_path):
 
 PUBLIC_NAMES = [
     "AnchorDatabase", "AnchorRecord", "AteStats", "CameraIntrinsics", "CheiralityViolation",
-    "Correspondences", "DEFAULT_CAMERA", "DegenerateGeometry", "ExternalMatcher",
-    "ImageFormatError", "InsufficientMatches", "IterationTrace", "Keypoints", "MatchFileError",
+    "Correspondences", "DEFAULT_CAMERA", "DegenerateGeometry",
+    "ImageFormatError", "InsufficientMatches", "IterationTrace", "Keypoints",
     "MatchStats", "Matches", "NoConsensus", "OracleConfig", "OracleMatcher", "Pose",
     "PoseFileError", "ReferenceMatcher", "ReferenceView", "RelocalizationResult",
     "RelocalizeConfig", "RenderOutput", "SolverReport", "SplatFormatError", "SplatRelocError",
     "SplatScene", "SyntheticSceneConfig", "Trajectory", "TrajectoryTooShort",
     "ate_statistics", "build_anchor_db", "detect_and_describe", "epnp", "error_histogram",
     "generate_synthetic_scene", "global_descriptor", "lift_to_3d", "load_anchor_db",
-    "load_matches", "load_ppm", "load_splat_scene",
+    "load_ppm", "load_splat_scene",
     "load_trajectory", "look_at", "match_features", "match_stats", "oracle_match", "pose_delta",
     "pose_errors", "recall_at", "recording", "refine_ba", "relocalize", "render",
-    "retrieve", "save_anchor_db", "save_matches",
+    "retrieve", "save_anchor_db",
     "save_ppm", "save_result", "save_splat_scene", "save_trajectory",
     "solve_pnp", "to_levels", "traced", "umeyama_align", "write_ate_csv",
 ]

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splatreloc import (
-    ExternalMatcher,
     Matches,
     OracleConfig,
     OracleMatcher,
@@ -15,14 +14,13 @@ from splatreloc import (
     ReferenceMatcher,
     ReferenceView,
     RelocalizeConfig,
+    SplatRelocError,
     lift_to_3d,
-    load_matches,
     match_stats,
     oracle_match,
     pose_delta,
     relocalize,
     render,
-    save_matches,
     recording,
     save_result,
 )
@@ -267,11 +265,11 @@ class TestRelocalizeConfig:
         assert (config.max_iterations, config.trans_eps, config.rot_eps) == (1, 0.0, 0.0)
 
 
-def _too_few(matches, reference, cam, tmp_path):
+def _too_few(matches, reference, cam):
     return matches[:5]
 
 
-def _border_bound(matches, reference, cam, tmp_path):
+def _border_bound(matches, reference, cam):
     """Four interior matches plus sixteen whose depth window leaves the image."""
     u = np.linspace(10.0, cam.width - 10.0, 4)
     edges = [
@@ -282,19 +280,13 @@ def _border_bound(matches, reference, cam, tmp_path):
     return Matches(query=query, ref=ref, confidence=np.linspace(0.2, 0.9, 20))
 
 
-def _all_outliers(matches, reference, cam, tmp_path):
+def _all_outliers(matches, reference, cam):
     rng = np.random.default_rng(5)
     outliers, _ = oracle_match(
         reference.pose, reference.pose, reference.depth, cam,
         OracleConfig(outlier_fraction=1.0), rng,
     )
     return outliers
-
-
-def _corrupt_file(matches, reference, cam, tmp_path):
-    (tmp_path / "bad_iter1.matches").write_text("not a match file\n")
-    size = (cam.width, cam.height)
-    return load_matches(tmp_path / "bad_iter1.matches", size, size)
 
 
 class TestFailedIteration:
@@ -310,29 +302,24 @@ class TestFailedIteration:
                 _all_outliers,
                 "pose solve failed: no hypothesis reached 6 inliers at 3.0 px over 256 iterations",
             ),
-            (_corrupt_file, "{tmp}/bad_iter1.matches: bad header 'not a match file'"),
         ],
-        ids=["too_few_matches", "too_few_lifted", "no_consensus", "match_file"],
+        ids=["too_few_matches", "too_few_lifted", "no_consensus"],
     )
-    def test_failed_exit(
-        self, small_scene, anchor_db, cam, offset_result, tmp_path, fail_at, bad, reason
-    ):
+    def test_failed_exit(self, small_scene, anchor_db, cam, offset_result, fail_at, bad, reason):
         _, query, good, _ = offset_result
 
         class FailAt:
             """The oracle's matches, replaced by ``bad``'s at iteration ``fail_at``."""
 
-            bad_matches = Matches.empty()  # what the trace counts when ``bad`` raises
-
             def match_pair(self, query_image, reference, iteration):
                 matches = good.match_pair(query_image, reference, iteration)
                 if iteration == fail_at:
-                    matches = self.bad_matches = bad(matches, reference, cam, tmp_path)
+                    matches = self.bad_matches = bad(matches, reference, cam)
                 return matches
 
         matcher = FailAt()
         result = relocalize(query, small_scene, anchor_db, matcher)
-        assert result.message == f"iteration {fail_at}: " + reason.format(tmp=tmp_path)
+        assert result.message == f"iteration {fail_at}: {reason}"
         assert result.status == "failed"
         assert len(result.traces) == fail_at
         anchor = anchor_db.records[result.anchor_id]
@@ -353,6 +340,17 @@ class TestFailedIteration:
         }
         assert all(set(tr) == TRACE_KEYS for tr in payload["traces"])
         assert payload["traces"][-1]["inlier_count"] is None
+
+    def test_matcher_error_propagates(self, small_scene, anchor_db):
+        """The loop catches nothing a matcher raises, not even a package error."""
+
+        class Raising:
+            def match_pair(self, query_image, reference, iteration):
+                raise SplatRelocError("matcher backend unavailable")
+
+        query = anchor_db.records[1].rgb / 255.0
+        with pytest.raises(SplatRelocError, match="^matcher backend unavailable$"):
+            relocalize(query, small_scene, anchor_db, Raising())
 
 
 class TestReferenceMatcher:
@@ -381,42 +379,6 @@ class TestReferenceMatcher:
         reference = ReferenceView.of_anchor(anchor_db.records[1])
         calls, _ = self.detect_calls([query, query.copy()], reference)
         assert calls == 4
-
-
-class TestExternalMatcher:
-    def test_consumes_match_files(self, small_scene, anchor_db, cam, tmp_path):
-        """Matches written as <id>_iter1.matches drive the loop to convergence."""
-        rec = anchor_db.records[1]
-        rng = np.random.default_rng(3)
-        depth = ReferenceView.of_anchor(rec).depth
-        matches, _ = oracle_match(rec.pose, rec.pose, depth, cam, OracleConfig(), rng)
-        size = (cam.width, cam.height)
-        save_matches(tmp_path / "q7_iter1.matches", matches, size, size)
-        matcher = ExternalMatcher(tmp_path, "q7", cam)
-        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
-        assert result.status == "converged"
-        assert len(result.traces) == 1
-        dt, dr = pose_delta(result.final_pose, rec.pose)
-        assert dt < 1e-6 and dr < 1e-6
-
-    def test_missing_file_fails(self, small_scene, anchor_db, cam, tmp_path):
-        """No match file for the iteration means a failed status, not a crash."""
-        rec = anchor_db.records[1]
-        matcher = ExternalMatcher(tmp_path, "absent", cam)
-        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
-        assert result.status == "failed"
-        assert result.message == "iteration 1: 0 matches < min_matches 12"
-
-    def test_corrupt_file_fails_with_context(self, small_scene, anchor_db, cam, tmp_path):
-        """A malformed match file surfaces as a failed status naming the iteration."""
-        rec = anchor_db.records[1]
-        (tmp_path / "bad_iter1.matches").write_text("not a match file\n")
-        matcher = ExternalMatcher(tmp_path, "bad", cam)
-        result = relocalize(rec.rgb / 255.0, small_scene, anchor_db, matcher)
-        assert result.status == "failed"
-        assert result.message == (
-            f"iteration 1: {tmp_path}/bad_iter1.matches: bad header 'not a match file'"
-        )
 
 
 class TestResultSerialization:

@@ -3,12 +3,12 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from splatreloc import (
     build_anchor_db,
     detect_and_describe,
-    load_matches,
     match_features,
     oracle_match,
     recording,
@@ -16,7 +16,6 @@ from splatreloc import (
     solve_pnp,
     traced,
 )
-from splatreloc.errors import MatchFileError
 
 
 @traced("test.add")
@@ -56,7 +55,7 @@ class TestTraced:
         assert add.__wrapped__(4, 5) == 9
 
     def test_library_entry_points_keep_their_names(self):
-        for fn in (render, detect_and_describe, match_features, oracle_match, load_matches, solve_pnp):
+        for fn in (render, detect_and_describe, match_features, oracle_match, solve_pnp):
             assert fn.__name__ == fn.__wrapped__.__name__
             assert fn.__doc__ == fn.__wrapped__.__doc__
 
@@ -92,13 +91,12 @@ class TestRecording:
             add(2)
         assert len(spans) == 1
 
-    def test_failed_library_call_is_recorded(self, tmp_path):
-        path = tmp_path / "bad.matches"
-        path.write_text("not a match file\n")
+    def test_failed_library_call_is_recorded(self):
+        """An image below the detector's minimum size raises before SciPy loads."""
         with recording() as spans:
-            with pytest.raises(MatchFileError):
-                load_matches(path, (64, 48), (64, 48))
-        assert [name for name, _, _ in spans] == ["features.load_matches"]
+            with pytest.raises(ValueError, match="at least 32px"):
+                detect_and_describe(np.zeros((8, 8, 3)))
+        assert [name for name, _, _ in spans] == ["features.detect_and_describe"]
 
     def test_worker_renders_reach_the_caller(self, small_world, cam):
         """Anchor renders run in worker processes; their spans join the caller's sink."""
